@@ -1,11 +1,15 @@
 #include "common.hpp"
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace perfbench {
 
@@ -95,6 +99,61 @@ double reference_loop_ms() {
   volatile std::uint64_t sink = x;
   (void)sink;
   return 1e3 * (t1 - t0);
+}
+
+namespace {
+
+double cold_build_s(const std::function<void()>& build) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    throw std::runtime_error("set-up: pipe() failed");
+  }
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    throw std::runtime_error("set-up: fork() failed");
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    double wall = -1.0;
+    try {
+      const double t0 = now_s();
+      build();
+      wall = now_s() - t0;
+    } catch (...) {
+    }
+    const ssize_t sent = write(fds[1], &wall, sizeof wall);
+    _exit(sent == static_cast<ssize_t>(sizeof wall) ? 0 : 1);
+  }
+  close(fds[1]);
+  double wall = -1.0;
+  ssize_t got = 0;
+  do {
+    got = read(fds[0], &wall, sizeof wall);
+  } while (got < 0 && errno == EINTR);
+  close(fds[0]);
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (got != static_cast<ssize_t>(sizeof wall) || !(wall >= 0.0) ||
+      !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error("set-up: a build in a child process failed");
+  }
+  return wall;
+}
+
+}  // namespace
+
+double median_cold_build_s(int min_reps, double min_seconds,
+                           const std::function<void()>& build) {
+  std::vector<double> walls;
+  const double start = now_s();
+  while (walls.size() < static_cast<std::size_t>(min_reps) ||
+         now_s() - start < min_seconds) {
+    walls.push_back(cold_build_s(build));
+  }
+  return median(walls);
 }
 
 double peak_rss_mib() {

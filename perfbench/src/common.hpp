@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,17 @@ class HostDiagnostics {
 /// Milliseconds taken by a fixed, memory-free integer loop; a probe of
 /// how fast this host runs plain code right now.
 double reference_loop_ms();
+
+/// Median of `build`'s wall time over cold runs: at least `min_reps`, and
+/// more until `min_seconds` of wall time are spent, so millisecond-scale
+/// builds are sampled many times. Each run forks a fresh child from this
+/// process, times `build` there and exits without unwinding, so every
+/// build faults in its own memory (as a user's first build does) and never
+/// raises this process's peak RSS; whatever `build` keeps alive outside its
+/// own scope is neither freed nor timed. Throws std::runtime_error when a
+/// child cannot be made or does not finish.
+double median_cold_build_s(int min_reps, double min_seconds,
+                           const std::function<void()>& build);
 
 /// Peak resident set of this process, MiB.
 double peak_rss_mib();

@@ -9,8 +9,6 @@
 // (see README.md in this directory). Lines before the JSON are notes and
 // the host diagnostics, which never adjust a metric.
 
-#include <malloc.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,13 +60,6 @@ int main(int argc, char** argv) {
   if (args.workload.empty() || !(args.seconds > 0)) {
     return usage();
   }
-
-  // Keep freed memory in the process (no trimming, no per-allocation
-  // mmap up to the 32 MiB cap): repeated set-up builds then reuse pages the
-  // first build faulted in, instead of paying the kernel's page zeroing
-  // again, whose cost swings with the host's memory contention.
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
-  mallopt(M_TRIM_THRESHOLD, 1 << 30);
 
   perfbench::HostDiagnostics host;
   perfbench::Result result;

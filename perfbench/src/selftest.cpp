@@ -33,14 +33,13 @@ void sweep_case(const perfbench::SweepShape& shape, const std::string& name) {
   bool ok = records.size() == cells.size();
   perfbench::TraceSink sink;
   for (std::size_t c = 0; ok && c < cells.size(); ++c) {
-    const auto run = shape.train ? perfbench::run_train_cell
-                                 : perfbench::run_timing_cell;
+    perfbench::BuiltCell plain(cells[c].config, nullptr);
+    perfbench::BuiltCell traced(cells[c].config, &sink);
     perfbench::PhaseTotals phases;
-    ok = perfbench::same_record(run(cells[c].config, nullptr, nullptr),
-                                records[c]) &&
-         perfbench::same_record(run(cells[c].config, &sink, &phases),
-                                records[c]) &&
-         phases.iterations == cells[c].config.iterations;
+    ok = perfbench::same_record(plain.run(nullptr), records[c]) &&
+         perfbench::same_record(traced.run(&phases), records[c]) &&
+         phases.iterations == cells[c].config.iterations &&
+         phases.iteration_s.size() == phases.iterations;
   }
   expect(ok, name + ": plain and traced cells reproduce run_sweep");
   expect(sink.offers > 0 && (shape.train ? sink.encodes > 0 : sink.draws > 0),

@@ -40,8 +40,10 @@ namespace {
 /// the benchmark was tuned on keeps headroom, and many small tasks per
 /// thread (see README.md).
 constexpr std::size_t kPoolThreads = 2;
-/// Builds per run whose median is `setup_s`.
+/// `setup_s` is the median of at least this many builds per run, and of
+/// as many more as fit in `kSetupSeconds`.
 constexpr int kSetupReps = 7;
+constexpr double kSetupSeconds = 2.0;
 /// Independent iterations behind each sweep cell's sigma estimate.
 constexpr std::size_t kSigmaSamples = 400;
 /// Threads of the output checks, which run after the timed phase.
@@ -107,52 +109,23 @@ LiveCell build_live_cell(const LiveShape& shape, std::uint64_t seed) {
   return cell;
 }
 
-double mean_of(double total, std::uint64_t count) {
-  return count == 0 ? 0.0 : total / static_cast<double>(count);
+/// max |a_i - b_i| ÷ max |b_i|; infinite when the sizes differ.
+double relative_error(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return HUGE_VAL;
+  }
+  double diff = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return scale > 0.0 ? diff / scale : diff;
 }
 
-/// Everything a sweep's timed phase builds per cell, built outside it:
-/// the cell's scenario, scheme (placement, coding matrix), and either the
-/// kernel arenas and latency model (timing) or the dataset and simulated
-/// provider (training).
-struct BuiltCell {
-  driver::Scenario scenario;
-  Rng rng{0};
-  std::unique_ptr<TrainData> data;
-  std::unique_ptr<core::Scheme> scheme;
-  std::unique_ptr<simulate::LatencyModel> model;
-  std::unique_ptr<simulate::IterationKernel> kernel;
-  std::unique_ptr<engine::SimulatedProvider> provider;
-};
-
-std::vector<std::unique_ptr<BuiltCell>> build_cells(
-    const std::vector<driver::SweepCell>& cells) {
-  std::vector<std::unique_ptr<BuiltCell>> built;
-  built.reserve(cells.size());
-  for (const driver::SweepCell& cell : cells) {
-    const driver::ExperimentConfig& c = cell.config;
-    auto b = std::make_unique<BuiltCell>();
-    b->scenario =
-        driver::ScenarioRegistry::instance().build(c.scenario, c.num_workers);
-    b->rng = Rng(c.seed);
-    const simulate::ClusterConfig& cluster = cluster_of(c, b->scenario);
-    if (c.train) {
-      b->data = build_train_data(c.num_units, c.examples_per_unit, c.features,
-                                 b->rng);
-      b->scheme = core::SchemeRegistry::instance().create(
-          c.scheme, scheme_config(c, true), b->rng);
-      b->provider = std::make_unique<engine::SimulatedProvider>(
-          *b->scheme, *b->data->source, cluster, b->rng);
-    } else {
-      b->scheme = core::SchemeRegistry::instance().create(
-          c.scheme, scheme_config(c, false), b->rng);
-      b->model = simulate::make_latency_model(cluster, c.num_workers);
-      b->kernel = std::make_unique<simulate::IterationKernel>(*b->scheme,
-                                                              cluster);
-    }
-    built.push_back(std::move(b));
-  }
-  return built;
+double mean_of(double total, std::uint64_t count) {
+  return count == 0 ? 0.0 : total / static_cast<double>(count);
 }
 
 /// The per-layer metrics of a traced run; layers a workload does not
@@ -239,6 +212,7 @@ void add_sim_iteration(PhaseTotals& phases, const TraceSink* sink, double t0,
                        double t1, std::size_t heard, std::size_t start_prefix) {
   ++phases.iterations;
   phases.wall_s += t1 - t0;
+  phases.iteration_s.push_back(t1 - t0);
   if (sink == nullptr) {
     return;
   }
@@ -307,7 +281,7 @@ std::vector<std::optional<analytic::Prediction>> predict_cells(
     for (std::size_t d = 0; d < c; ++d) {
       if (owner[d] == d &&
           cells[d].config.scenario == cells[c].config.scenario &&
-          same_placement(*built[d]->scheme, *built[c]->scheme)) {
+          same_placement(built[d]->scheme(), built[c]->scheme())) {
         owner[c] = d;
         break;
       }
@@ -323,9 +297,8 @@ std::vector<std::optional<analytic::Prediction>> predict_cells(
       }
       done.push_back(pool.submit([&, c] {
         std::string reason;
-        predictions[c] = oracle_predict(
-            *built[c]->scheme, cluster_of(cells[c].config, built[c]->scenario),
-            &reason);
+        predictions[c] =
+            oracle_predict(built[c]->scheme(), built[c]->cluster(), &reason);
       }));
     }
     for (std::future<void>& f : done) {
@@ -342,7 +315,6 @@ std::vector<std::optional<analytic::Prediction>> predict_cells(
 /// `rounds` runs failed.
 void check_sweep(const SweepShape& shape,
                  const std::vector<driver::SweepCell>& cells,
-                 const std::vector<std::unique_ptr<BuiltCell>>& built,
                  const std::vector<driver::RunRecord>& records,
                  std::uint64_t rounds, Result& r) {
   const auto id = [](const driver::ExperimentConfig& cfg) {
@@ -358,6 +330,11 @@ void check_sweep(const SweepShape& shape,
               rounds);
     }
     return;
+  }
+  std::vector<std::unique_ptr<BuiltCell>> built;
+  built.reserve(cells.size());
+  for (const driver::SweepCell& cell : cells) {
+    built.push_back(std::make_unique<BuiltCell>(cell.config, nullptr));
   }
   const auto predictions = predict_cells(cells, built);
   // The group of a cell: its seeds' siblings (same scheme, scenario, n).
@@ -386,8 +363,8 @@ void check_sweep(const SweepShape& shape,
     const driver::RunRecord& rec = records[c];
     double sd_k = 0.0;
     double sd_t = 0.0;
-    iteration_sd(*built[c]->scheme, cluster_of(cfg, built[c]->scenario),
-                 cfg.seed ^ 0x5EEDull, kSigmaSamples, &sd_k, &sd_t);
+    iteration_sd(built[c]->scheme(), built[c]->cluster(), cfg.seed ^ 0x5EEDull,
+                 kSigmaSamples, &sd_k, &sd_t);
     // A fresh 400-iteration sample can miss rare drop events that the
     // cell's own run hit; the spread of the cell's seed siblings around
     // their predictions catches them, so sigma is the larger of the two.
@@ -410,63 +387,111 @@ void run_sweep_workload(const RunArgs& args, const SweepShape& shape,
                         Result& r) {
   const driver::SweepPlan plan = make_plan(shape, args.seed);
   const std::vector<driver::SweepCell> cells = driver::expand_plan(plan);
-
-  // Set-up: the per-cell build the sweep performs inside its timed phase,
-  // done standalone; the last build serves the output checks. (The trace
-  // run prints no end-to-end metrics, so it builds once.)
-  std::vector<std::unique_ptr<BuiltCell>> built;
-  std::vector<double> builds;
-  for (int i = 0; i < (args.trace ? 1 : kSetupReps); ++i) {
-    built.clear();  // free the previous build outside the timed span
-    const double t0 = now_s();
-    built = build_cells(cells);
-    builds.push_back(now_s() - t0);
-  }
-  const double setup_s = median(builds);
-
   driver::SweepOptions options;
   options.threads = kPoolThreads;
-  std::vector<driver::RunRecord> reference = driver::run_sweep(plan, options);
-  const std::uint64_t round_iters = sweep_iterations(reference);
 
   if (!args.trace) {
-    // Timed phase: whole sweeps, back to back, until the time is up.
-    std::vector<double> round_walls;
-    double total_wall = 0.0;
+    // Set-up: every cell built and freed in turn, as the sweep does inside
+    // its timed phase; cold, in a child process per repetition.
+    const double setup_s =
+        median_cold_build_s(kSetupReps, kSetupSeconds, [&cells] {
+          for (const driver::SweepCell& cell : cells) {
+            const BuiltCell built(cell.config, nullptr);
+          }
+        });
+
+    const std::vector<driver::RunRecord> reference =
+        driver::run_sweep(plan, options);
+    const std::uint64_t round_iters = sweep_iterations(reference);
+
+    // Timed phase, until the time is up: whole sweeps, back to back, for
+    // `iters_per_s`. The sweep hides its iteration boundaries, so between
+    // rounds the next quarter of the cells is also driven one iteration at
+    // a time through the public classes, one cell per task on as many
+    // threads as the sweep uses (one thread would sit on one vCPU, whose
+    // speed on this kind of host shifts from run to run). `iter_p50_us` is
+    // the median over passes through all cells of the pass's median
+    // iteration, so it spans the same host conditions as the rounds.
+    double sweep_wall = 0.0;
     std::uint64_t rounds = 0;
     std::uint64_t mismatched = 0;
-    while (rounds == 0 || total_wall < args.seconds) {
+    std::uint64_t single_runs = 0;
+    const std::size_t chunk = (cells.size() + 3) / 4;
+    std::size_t next_cell = 0;
+    PhaseTotals single;
+    single.iteration_s.reserve(round_iters);
+    std::vector<double> pass_p50;
+    const double start = now_s();
+    while (pass_p50.empty() || now_s() - start < args.seconds) {
       const double t0 = now_s();
       const std::vector<driver::RunRecord> records =
           driver::run_sweep(plan, options);
-      const double wall = now_s() - t0;
-      total_wall += wall;
-      round_walls.push_back(wall / static_cast<double>(round_iters));
+      sweep_wall += now_s() - t0;
       ++rounds;
       for (std::size_t c = 0; c < records.size(); ++c) {
         if (!same_record(records[c], reference[c])) {
           ++mismatched;
         }
       }
+      const std::size_t first = next_cell;
+      const std::size_t last = std::min(cells.size(), first + chunk);
+      std::vector<PhaseTotals> phases(last - first);
+      std::vector<char> same(last - first, 0);
+      // A fresh pool per chunk, like run_sweep's per round, so its threads
+      // reuse the malloc arenas the sweep's threads left behind.
+      coupon::ThreadPool single_pool(kPoolThreads);
+      std::vector<std::future<void>> done;
+      for (std::size_t c = first; c < last; ++c) {
+        done.push_back(single_pool.submit([&, c] {
+          BuiltCell built(cells[c].config, nullptr);
+          same[c - first] = same_record(built.run(&phases[c - first]),
+                                        reference[c]);
+        }));
+      }
+      for (std::size_t k = 0; k < done.size(); ++k) {
+        done[k].get();
+        mismatched += same[k] ? 0 : 1;
+        single.iteration_s.insert(single.iteration_s.end(),
+                                  phases[k].iteration_s.begin(),
+                                  phases[k].iteration_s.end());
+      }
+      single_runs += last - first;
+      next_cell = last;
+      if (next_cell == cells.size()) {
+        pass_p50.push_back(median(single.iteration_s));
+        single.iteration_s.clear();
+        next_cell = 0;
+      }
     }
     const double rss = peak_rss_mib();
-    r.attempted = rounds * cells.size();
+
+    r.attempted = rounds * cells.size() + single_runs;
     r.check(mismatched == 0,
-            "sweep rounds disagree with the first sweep on " +
+            "sweep rounds or single cells disagree with the first sweep on " +
                 std::to_string(mismatched) + " cell runs",
             mismatched);
-    check_sweep(shape, cells, built, reference, rounds, r);
-    emit_end_to_end(r,
-                    static_cast<double>(rounds * round_iters) / total_wall,
-                    1e6 * median(round_walls), setup_s, rss);
+    check_sweep(shape, cells, reference, rounds, r);
+    emit_end_to_end(r, static_cast<double>(rounds * round_iters) / sweep_wall,
+                    1e6 * median(pass_p50), setup_s, rss);
     r.note(std::to_string(cells.size()) + " cells x " +
            std::to_string(rounds) + " sweep rounds, " +
            std::to_string(round_iters) + " GD iterations per round, " +
-           std::to_string(kPoolThreads) + " pool threads");
+           std::to_string(kPoolThreads) + " pool threads; " +
+           std::to_string(pass_p50.size()) +
+           " single-cell passes, median iteration per pass (us): " +
+           [&] {
+             std::string out;
+             for (const double p : pass_p50) {
+               out += (out.empty() ? "" : " ") + fmt(1e6 * p);
+             }
+             return out;
+           }());
     return;
   }
 
   // Traced run. Driver-level ratios from whole untraced sweeps first.
+  const std::vector<driver::RunRecord> reference =
+      driver::run_sweep(plan, options);
   Layers l;
   constexpr int kPassReps = 3;
   const double par_wall = median_wall(kPassReps, [&] {
@@ -495,10 +520,9 @@ void run_sweep_workload(const RunArgs& args, const SweepShape& shape,
   std::uint64_t mismatched = 0;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const driver::ExperimentConfig& cfg = cells[c].config;
-    const auto run_cell = shape.train ? run_train_cell : run_timing_cell;
-    const driver::RunRecord a = run_cell(cfg, nullptr, &plain);
+    const driver::RunRecord a = BuiltCell(cfg, nullptr).run(&plain);
     PhaseTotals cell;
-    const driver::RunRecord b = run_cell(cfg, &sink, &cell);
+    const driver::RunRecord b = BuiltCell(cfg, &sink).run(&cell);
     add_phases(traced, cell);
     if (cfg.num_workers == 100) {
       add_phases(traced_n100, cell);
@@ -512,7 +536,7 @@ void run_sweep_workload(const RunArgs& args, const SweepShape& shape,
           "cells run one at a time (plain or traced) disagree with the "
           "sweep on " + std::to_string(mismatched) + " cells",
           2 * mismatched);
-  check_sweep(shape, cells, built, reference, 1, r);
+  check_sweep(shape, cells, reference, 1, r);
 
   const double iters = static_cast<double>(traced.iterations);
   const double us = 1e6 / iters;
@@ -582,7 +606,6 @@ void run_giant_workload(const RunArgs& args, Result& r) {
       elapsed += t1 - t0;
       add_sim_iteration(phases, sink, t0, t1, it.workers_heard,
                         cell.start_prefix());
-      phases.iteration_s.push_back(t1 - t0);
       reports.push_back(it);
     }
   };
@@ -609,15 +632,14 @@ void run_giant_workload(const RunArgs& args, Result& r) {
   };
 
   if (!args.trace) {
+    // Set-up: cold builds in child processes, which exit holding the cell
+    // (so its teardown is not timed); then this process builds its own.
     std::unique_ptr<GiantCell> cell;
-    std::vector<double> builds;
-    for (int i = 0; i < kSetupReps; ++i) {
-      cell.reset();  // one cell in memory at a time, freed untimed
-      const double t0 = now_s();
-      cell = std::make_unique<GiantCell>(shape, args.seed, nullptr);
-      builds.push_back(now_s() - t0);
-    }
-    const double setup_s = median(builds);
+    const double setup_s =
+        median_cold_build_s(kSetupReps, kSetupSeconds, [&] {
+          cell = std::make_unique<GiantCell>(shape, args.seed, nullptr);
+        });
+    cell = std::make_unique<GiantCell>(shape, args.seed, nullptr);
     PhaseTotals phases;
     std::vector<simulate::IterationReport> reports;
     run_pass(nullptr, args.seconds, phases, reports, *cell);
@@ -697,11 +719,19 @@ void run_live_workload(const RunArgs& args, Result& r) {
   // the scheme, and the fork + connect up to the first broadcast.
   std::vector<double> setups;
   std::vector<double> rates;
-  for (int i = 0; i < (args.trace ? 3 : kSetupReps); ++i) {
+  std::vector<double> prefix_weights;
+  const int min_reps = args.trace ? 3 : kSetupReps;
+  const double setup_start = now_s();
+  for (int i = 0; i < min_reps ||
+                  (!args.trace && now_s() - setup_start < kSetupSeconds);
+       ++i) {
     const LiveOutcome o =
         run_live(shape, args.seed, kLiveCalibrationIters, nullptr, nullptr);
     setups.push_back(o.build_s + o.connect_s);
     rates.push_back(static_cast<double>(kLiveCalibrationIters) / o.run_s);
+    if (i == 0) {
+      prefix_weights = o.report.weights;
+    }
   }
   const double seconds = args.trace ? args.seconds / 2 : args.seconds;
   const auto iterations = static_cast<std::size_t>(std::clamp(
@@ -712,14 +742,26 @@ void run_live_workload(const RunArgs& args, Result& r) {
   const double rss = peak_rss_mib();
   const double iter_p50_us = 1e6 * median(run.cycle_s);
 
-  // Output check: the final loss of a serial run of the same optimizer on
-  // the same data, to rounding (the decode sums in batch order, the serial
-  // reference in unit order).
+  // Output checks against a serial run of the same optimizer on the same
+  // data, to rounding (the decode sums in batch order, the serial reference
+  // in unit order): the weights after the first calibration run, while a
+  // wrong gradient cannot yet have converged to the right answer, and the
+  // long run's final loss.
   const LiveCell cell = build_live_cell(shape, args.seed);
+  const SerialRun serial_prefix =
+      serial_gd(cell.data->problem.dataset, *cell.data->source,
+                shape.learning_rate, kLiveCalibrationIters);
   const SerialRun serial =
       serial_gd(cell.data->problem.dataset, *cell.data->source,
                 shape.learning_rate, iterations);
-  r.attempted = iterations;
+  r.attempted = iterations + kLiveCalibrationIters;
+  const double prefix_error =
+      relative_error(prefix_weights, serial_prefix.weights);
+  r.check(prefix_error <= 1e-9,
+          "process weights after " + std::to_string(kLiveCalibrationIters) +
+              " iterations differ from serial by " + fmt(prefix_error) +
+              " relative",
+          kLiveCalibrationIters);
   const double tol = 1e-6 * std::abs(serial.final_loss);
   r.check(std::abs(run.final_loss - serial.final_loss) <= tol,
           "process final loss " + fmt(run.final_loss) + " vs serial " +
@@ -730,7 +772,9 @@ void run_live_workload(const RunArgs& args, Result& r) {
           run.report.failed_iterations + (run.workers_lost > 0 ? 1 : 0));
   r.note("process run: " + std::to_string(iterations) +
          " iterations; final loss " + fmt(run.final_loss) + ", serial " +
-         fmt(serial.final_loss));
+         fmt(serial.final_loss) + "; weights after " +
+         std::to_string(kLiveCalibrationIters) + " iterations within " +
+         fmt(prefix_error) + " of serial");
 
   if (!args.trace) {
     emit_end_to_end(r, static_cast<double>(iterations) / run.run_s,
@@ -837,26 +881,133 @@ driver::SweepPlan make_plan(const SweepShape& shape, std::uint64_t seed) {
   return plan;
 }
 
-driver::RunRecord run_timing_cell(const driver::ExperimentConfig& config,
-                                  TraceSink* sink, PhaseTotals* phases) {
-  const driver::Scenario scenario = driver::ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  const simulate::ClusterConfig& base = cluster_of(config, scenario);
-  Rng rng(config.seed);
-  const auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, false), rng);
-  std::optional<TracedScheme> traced;
-  std::optional<simulate::ClusterConfig> traced_config;
-  if (sink != nullptr) {
-    traced.emplace(*scheme, *sink);
-    traced_config.emplace(traced_cluster(base, *sink));
-  }
-  const core::Scheme& used = traced ? *traced : *scheme;
-  const simulate::ClusterConfig& cluster = traced_config ? *traced_config : base;
+struct BuiltCell::State {
+  driver::ExperimentConfig config;
+  TraceSink* sink = nullptr;
+  driver::Scenario scenario;
+  Rng rng{0};
+  std::unique_ptr<TrainData> data;
+  std::unique_ptr<core::Scheme> scheme;
+  std::optional<TracedScheme> traced_scheme;
+  simulate::ClusterConfig cluster;  ///< the base, or its traced copy
+  // Timing-only cells.
+  std::unique_ptr<simulate::LatencyModel> model;
+  std::unique_ptr<simulate::IterationKernel> kernel;
+  // Training cells.
+  std::optional<TracedSource> traced_source;
+  std::unique_ptr<engine::SimulatedProvider> provider;
+  std::optional<TracedProvider> traced_provider;
+  std::unique_ptr<opt::NesterovGradient> nesterov;
+  std::optional<TracedOptimizer> traced_optimizer;
+  engine::TrainOptions options;
+  std::unique_ptr<engine::TrainLoop> loop;
 
+  const core::Scheme& used_scheme() const {
+    return traced_scheme ? static_cast<const core::Scheme&>(*traced_scheme)
+                         : *scheme;
+  }
+  void build_timing();
+  void build_train();
+  driver::RunRecord run_timing(PhaseTotals* phases);
+  driver::RunRecord run_train(PhaseTotals* phases);
+};
+
+BuiltCell::BuiltCell(const driver::ExperimentConfig& config, TraceSink* sink)
+    : state_(std::make_unique<State>()) {
+  State& s = *state_;
+  s.config = config;
+  s.sink = sink;
+  s.scenario = driver::ScenarioRegistry::instance().build(config.scenario,
+                                                          config.num_workers);
+  s.rng = Rng(config.seed);
+  if (config.train) {
+    s.build_train();
+  } else {
+    s.build_timing();
+  }
+}
+
+BuiltCell::~BuiltCell() = default;
+
+driver::RunRecord BuiltCell::run(PhaseTotals* phases) {
+  return state_->loop ? state_->run_train(phases) : state_->run_timing(phases);
+}
+
+const core::Scheme& BuiltCell::scheme() const { return *state_->scheme; }
+
+const simulate::ClusterConfig& BuiltCell::cluster() const {
+  return cluster_of(state_->config, state_->scenario);
+}
+
+void BuiltCell::State::build_timing() {
+  scheme = core::SchemeRegistry::instance().create(
+      config.scheme, scheme_config(config, false), rng);
+  const simulate::ClusterConfig& base = cluster_of(config, scenario);
+  if (sink != nullptr) {
+    traced_scheme.emplace(*scheme, *sink);
+  }
+  cluster = sink != nullptr ? traced_cluster(base, *sink) : base;
+  model = simulate::make_latency_model(cluster, config.num_workers);
+  kernel = std::make_unique<simulate::IterationKernel>(used_scheme(), cluster);
+}
+
+void BuiltCell::State::build_train() {
+  if (config.objective != "logistic" || config.optimizer != "nesterov" ||
+      config.lr_decay != 0.0) {
+    throw std::invalid_argument(
+        "BuiltCell replicates logistic + constant-rate Nesterov cells");
+  }
+  data = build_train_data(config.num_units, config.examples_per_unit,
+                          config.features, rng);
+  scheme = core::SchemeRegistry::instance().create(
+      config.scheme, scheme_config(config, true), rng);
+  const data::Dataset* dataset = &data->problem.dataset;
+  options.loss_fn = [dataset](std::span<const double> w) {
+    return opt::logistic_loss(*dataset, w);
+  };
+  const simulate::ClusterConfig& base = cluster_of(config, scenario);
+  if (sink != nullptr) {
+    sink->count_units = true;
+    traced_scheme.emplace(*scheme, *sink);
+    traced_source.emplace(*data->source, *sink);
+    options.loss_fn = traced_loss(std::move(options.loss_fn), *sink);
+  }
+  cluster = sink != nullptr ? traced_cluster(base, *sink) : base;
+  const core::UnitGradientSource& source =
+      traced_source ? static_cast<const core::UnitGradientSource&>(*traced_source)
+                    : *data->source;
+
+  provider = std::make_unique<engine::SimulatedProvider>(used_scheme(), source,
+                                                         cluster, rng);
+  if (sink != nullptr) {
+    traced_provider.emplace(*provider, *sink);
+  }
+  nesterov = std::make_unique<opt::NesterovGradient>(
+      config.features, opt::LearningRateSchedule::constant(config.learning_rate));
+  if (sink != nullptr) {
+    traced_optimizer.emplace(*nesterov, sink);
+  }
+
+  options.iterations = config.iterations;
+  options.on_failure = config.on_failure;
+  options.record_loss_history = config.record_loss_history;
+  options.target_loss = config.target_loss;
+  options.stop_at_target = config.stop_at_target;
+  options.approximate_recovery = core::SchemeRegistry::instance()
+                                     .find(config.scheme)
+                                     ->caps.approximate_recovery;
+  engine::IterationProvider& used_provider =
+      traced_provider ? static_cast<engine::IterationProvider&>(*traced_provider)
+                      : *provider;
+  opt::IterativeOptimizer& optimizer =
+      traced_optimizer ? static_cast<opt::IterativeOptimizer&>(*traced_optimizer)
+                       : *nesterov;
+  loop = std::make_unique<engine::TrainLoop>(used_scheme(), source,
+                                             used_provider, optimizer, options);
+}
+
+driver::RunRecord BuiltCell::State::run_timing(PhaseTotals* phases) {
   // simulate_run's loop and aggregation, one iteration at a time.
-  const auto model = simulate::make_latency_model(cluster, used.num_workers());
-  simulate::IterationKernel kernel(used, cluster);
   simulate::RunReport run;
   const ClockFn clock = clock_for(sink);
   for (std::size_t t = 0; t < config.iterations; ++t) {
@@ -864,7 +1015,7 @@ driver::RunRecord run_timing_cell(const driver::ExperimentConfig& config,
       sink->start_iteration();
     }
     const double t0 = clock();
-    const simulate::IterationReport it = kernel.run(*model, t, rng);
+    const simulate::IterationReport it = kernel->run(*model, t, rng);
     const double t1 = clock();
     run.total_time += it.total_time;
     run.total_compute_time += it.compute_time;
@@ -876,7 +1027,7 @@ driver::RunRecord run_timing_cell(const driver::ExperimentConfig& config,
     }
     if (phases != nullptr) {
       add_sim_iteration(*phases, sink, t0, t1, it.workers_heard,
-                        kernel.start_prefix());
+                        kernel->start_prefix());
     }
   }
   driver::RunRecord record;
@@ -890,83 +1041,19 @@ driver::RunRecord run_timing_cell(const driver::ExperimentConfig& config,
   return record;
 }
 
-driver::RunRecord run_train_cell(const driver::ExperimentConfig& config,
-                                 TraceSink* sink, PhaseTotals* phases) {
-  if (config.objective != "logistic" || config.optimizer != "nesterov" ||
-      config.lr_decay != 0.0) {
-    throw std::invalid_argument(
-        "run_train_cell replicates logistic + constant-rate Nesterov cells");
-  }
-  const driver::Scenario scenario = driver::ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  const simulate::ClusterConfig& base = cluster_of(config, scenario);
-  Rng rng(config.seed);
-  const auto d = build_train_data(config.num_units, config.examples_per_unit,
-                                  config.features, rng);
-  const auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, true), rng);
-  const data::Dataset* dataset = &d->problem.dataset;
-  std::function<double(std::span<const double>)> loss =
-      [dataset](std::span<const double> w) {
-        return opt::logistic_loss(*dataset, w);
-      };
-
-  std::optional<TracedScheme> traced_scheme;
-  std::optional<TracedSource> traced_source;
-  if (sink != nullptr) {
-    sink->count_units = true;
-    traced_scheme.emplace(*scheme, *sink);
-    traced_source.emplace(*d->source, *sink);
-    loss = traced_loss(std::move(loss), *sink);
-  }
-  const core::Scheme& used_scheme =
-      traced_scheme ? static_cast<const core::Scheme&>(*traced_scheme) : *scheme;
-  const core::UnitGradientSource& used_source =
-      traced_source ? static_cast<const core::UnitGradientSource&>(*traced_source)
-                    : *d->source;
-
-  engine::SimulatedProvider provider(
-      used_scheme, used_source,
-      sink != nullptr ? traced_cluster(base, *sink) : base, rng);
-  std::optional<TracedProvider> traced_provider;
-  if (sink != nullptr) {
-    traced_provider.emplace(provider, *sink);
-  }
-  engine::IterationProvider& used_provider =
-      traced_provider ? static_cast<engine::IterationProvider&>(*traced_provider)
-                      : provider;
-
-  opt::NesterovGradient nesterov(
-      config.features, opt::LearningRateSchedule::constant(config.learning_rate));
-  TracedOptimizer traced_optimizer(nesterov, sink);
-  opt::IterativeOptimizer& optimizer =
-      sink != nullptr ? static_cast<opt::IterativeOptimizer&>(traced_optimizer)
-                      : nesterov;
-
-  engine::TrainOptions options;
-  options.iterations = config.iterations;
-  options.on_failure = config.on_failure;
-  options.loss_fn = loss;
-  options.record_loss_history = config.record_loss_history;
-  options.target_loss = config.target_loss;
-  options.stop_at_target = config.stop_at_target;
-  options.approximate_recovery = core::SchemeRegistry::instance()
-                                     .find(config.scheme)
-                                     ->caps.approximate_recovery;
-
-  engine::TrainLoop loop(used_scheme, used_source, used_provider, optimizer,
-                         options);
+driver::RunRecord BuiltCell::State::run_train(PhaseTotals* phases) {
   const ClockFn clock = clock_for(sink);
-  while (!loop.done()) {
+  while (!loop->done()) {
     if (sink != nullptr) {
       sink->start_iteration();
     }
     const double t0 = clock();
-    loop.step();
+    loop->step();
     const double t1 = clock();
     if (phases != nullptr) {
       ++phases->iterations;
       phases->wall_s += t1 - t0;
+      phases->iteration_s.push_back(t1 - t0);
       if (sink != nullptr) {
         phases->draw_s += sink->draw_last - sink->draw_begin;
       }
@@ -974,7 +1061,7 @@ driver::RunRecord run_train_cell(const driver::ExperimentConfig& config,
   }
   // The final-loss evaluation in take_report belongs to no iteration.
   const double loss_before = sink != nullptr ? sink->loss_s : 0.0;
-  engine::TrainReport report = loop.take_report();
+  engine::TrainReport report = loop->take_report();
   if (sink != nullptr) {
     sink->loss_s = loss_before;
   }
@@ -989,7 +1076,7 @@ driver::RunRecord run_train_cell(const driver::ExperimentConfig& config,
   record.final_loss = report.final_loss;
   record.time_to_target = report.time_to_target;
   record.approximate_iterations = report.approximate_iterations;
-  record.train_accuracy = opt::accuracy(*dataset, report.weights);
+  record.train_accuracy = opt::accuracy(data->problem.dataset, report.weights);
   record.comm_time = report.comm_seconds;
   record.compute_time = report.compute_seconds;
   record.loss_history = std::move(report.loss_history);

@@ -66,22 +66,35 @@ struct PhaseTotals {
   double select_s = 0.0;   ///< simulation: last draw to first offer
   double scan_s = 0.0;     ///< simulation: first offer to iteration end
   double prefix_use = 0.0; ///< sum over iterations of K / start prefix
-  std::vector<double> iteration_s;  ///< per-iteration wall, when kept
+  std::vector<double> iteration_s;  ///< each iteration's wall time
 };
 
-/// Runs one timing-only cell as `SimulatedRuntime` does, iteration by
-/// iteration through `simulate::IterationKernel`; with `sink`, through the
-/// decorators, cutting phases into `phases`. Fills the record's summary
-/// fields only.
-coupon::driver::RunRecord run_timing_cell(
-    const coupon::driver::ExperimentConfig& config, TraceSink* sink,
-    PhaseTotals* phases);
+/// One sweep cell, built as `SimulatedRuntime` builds it: the scenario, the
+/// scheme (placement, coding matrix), and either the latency model and
+/// kernel arenas (timing-only) or the dataset, simulated provider,
+/// optimizer and train loop (training); with `sink`, through the
+/// decorators. Construction is the cell's set-up, `run` its timed part.
+class BuiltCell {
+ public:
+  BuiltCell(const coupon::driver::ExperimentConfig& config, TraceSink* sink);
+  ~BuiltCell();
+  BuiltCell(const BuiltCell&) = delete;
+  BuiltCell& operator=(const BuiltCell&) = delete;
 
-/// Runs one simulated-training cell as `SimulatedRuntime` does, step by
-/// step through `engine::TrainLoop`; with `sink`, through the decorators.
-coupon::driver::RunRecord run_train_cell(
-    const coupon::driver::ExperimentConfig& config, TraceSink* sink,
-    PhaseTotals* phases);
+  /// Runs the cell once, one iteration at a time (`IterationKernel::run`
+  /// or `TrainLoop::step`), adding each iteration's wall time and, traced,
+  /// its phase cuts to `phases`. Timing-only cells fill the record's
+  /// summary fields only.
+  coupon::driver::RunRecord run(PhaseTotals* phases);
+
+  /// The undecorated scheme and cluster: the oracle's inputs.
+  const coupon::core::Scheme& scheme() const;
+  const coupon::simulate::ClusterConfig& cluster() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// True when every summary, convergence, and loss-history field of the two
 /// records is bitwise equal.
