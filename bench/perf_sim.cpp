@@ -52,11 +52,6 @@ struct Cell {
   /// (real gradients) instead of the timing-only kernel. Reported under
   /// the "train:<scheme>" key so perf_check matches the right baseline.
   bool train = false;
-  /// Batched mode: run this many same-shape cells (distinct placements
-  /// and RNG streams) through one simulate::BatchedKernel pass and
-  /// report aggregate cell-iterations/sec under "batch<k>:<scheme>" —
-  /// directly comparable with the unbatched row of the same shape.
-  std::size_t batch = 0;
 };
 
 /// Quick (CI) mode skips rows above this worker count: the n = 10^5 and
@@ -93,9 +88,6 @@ const std::vector<Cell>& grid() {
       {"bcc", 100'000, 100'000, 40, 30},
       {"uncoded", 1'000'000, 1'000'000, 40, 5},
       {"bcc", 1'000'000, 1'000'000, 40, 5},
-      // Structure-of-arrays batching (DESIGN.md §7.5).
-      {"bcc", 1'000, 1'000, 10, 1000, /*train=*/false, /*batch=*/8},
-      {"fr", 1'000, 1'000, 10, 1000, /*train=*/false, /*batch=*/8},
       // Training-path rows (TrainingEngine over the simulated provider).
       {"uncoded", 20, 20, 4, 2000, /*train=*/true},
       {"bcc", 20, 20, 4, 2000, /*train=*/true},
@@ -103,11 +95,9 @@ const std::vector<Cell>& grid() {
       {"bcc", 50, 50, 10, 500, /*train=*/true},
       {"uncoded", 100, 100, 10, 200, /*train=*/true},
       {"bcc", 100, 100, 10, 200, /*train=*/true},
-      // Gradient-coding training rows (r-unit messages, per-unit decode)
-      // and the lockstep multi-seed train kernel (DESIGN.md §12).
+      // Gradient-coding training rows (r-unit messages, per-unit decode).
       {"gc_cyclic", 50, 50, 10, 500, /*train=*/true},
       {"sgc", 50, 50, 10, 500, /*train=*/true},
-      {"bcc", 50, 50, 10, 500, /*train=*/true, /*batch=*/8},
   };
   return cells;
 }
@@ -119,19 +109,9 @@ struct Result {
   double best_seconds = 0.0;
   double iters_per_sec = 0.0;
 
-  /// The perf_check matching key: "<scheme>", "train:<scheme>",
-  /// "batch<k>:<scheme>", or "batch<k>-train:<scheme>".
+  /// The perf_check matching key: "<scheme>" or "train:<scheme>".
   std::string key() const {
-    if (cell.train && cell.batch > 0) {
-      return "batch" + std::to_string(cell.batch) + "-train:" + cell.scheme;
-    }
-    if (cell.train) {
-      return std::string("train:") + cell.scheme;
-    }
-    if (cell.batch > 0) {
-      return "batch" + std::to_string(cell.batch) + ":" + cell.scheme;
-    }
-    return cell.scheme;
+    return cell.train ? std::string("train:") + cell.scheme : cell.scheme;
   }
 };
 
@@ -147,15 +127,6 @@ Result run_cell(const Cell& cell, std::size_t iterations, std::size_t reps) {
   stats::Rng build_rng(0xBE5C0000 + cell.workers);
   const auto scheme =
       core::SchemeRegistry::instance().create(cell.scheme, config, build_rng);
-
-  // Batched rows: `cell.batch` same-shape cells with distinct placements,
-  // one lockstep BatchedKernel pass (kernel construction is measured,
-  // matching simulate_run's per-call kernel setup in the plain rows).
-  std::vector<std::unique_ptr<core::Scheme>> batch_schemes;
-  for (std::size_t i = 1; i < cell.batch; ++i) {
-    batch_schemes.push_back(
-        core::SchemeRegistry::instance().create(cell.scheme, config, build_rng));
-  }
 
   // Training rows: a small logistic workload (the convergence path's
   // gradient cost scales with p and examples/unit; the gate targets the
@@ -176,11 +147,6 @@ Result run_cell(const Cell& cell, std::size_t iterations, std::size_t reps) {
                                                         *partition);
   }
 
-  // Batched training rows share one cluster config across cells (the
-  // provider holds it by shared_ptr).
-  const auto shared_cluster =
-      std::make_shared<const simulate::ClusterConfig>(cluster);
-
   Result result;
   result.cell = cell;
   result.iterations = iterations;
@@ -190,36 +156,7 @@ Result run_cell(const Cell& cell, std::size_t iterations, std::size_t reps) {
     stats::Rng rng(0x5EED + rep);
     WallTimer timer;
     double elapsed = 0.0;
-    if (cell.train && cell.batch > 0) {
-      // Lockstep multi-seed training: one BatchedTrainKernel pass over
-      // `batch` same-shape cells (kernel construction is measured,
-      // matching the per-call setup of the plain train rows).
-      std::vector<std::unique_ptr<opt::IterativeOptimizer>> optimizers;
-      std::vector<engine::BatchedTrainCell> cells;
-      cells.reserve(cell.batch);
-      for (std::size_t i = 0; i < cell.batch; ++i) {
-        engine::BatchedTrainCell tc;
-        tc.scheme = i == 0 ? scheme.get() : batch_schemes[i - 1].get();
-        tc.source = source.get();
-        tc.cluster = shared_cluster;
-        tc.rng = stats::Rng(0x5EED + rep + 7919 * i);
-        optimizers.push_back(std::make_unique<opt::NesterovGradient>(
-            source->dim(), opt::LearningRateSchedule::constant(2.0)));
-        tc.optimizer = optimizers.back().get();
-        tc.options.iterations = iterations;
-        cells.push_back(std::move(tc));
-      }
-      const auto reports =
-          engine::BatchedTrainKernel(std::move(cells)).run();
-      elapsed = timer.seconds();
-      for (const auto& report : reports) {
-        if (report.failed_iterations != 0) {
-          std::fprintf(stderr,
-                       "perf_sim: batched training run dropped iterations\n");
-          std::exit(1);
-        }
-      }
-    } else if (cell.train) {
+    if (cell.train) {
       engine::SimulatedProvider provider(*scheme, *source, cluster, rng);
       engine::TrainingEngine protocol(*scheme, *source, provider);
       opt::NesterovGradient optimizer(
@@ -233,29 +170,6 @@ Result run_cell(const Cell& cell, std::size_t iterations, std::size_t reps) {
       if (report.failed_iterations != 0) {
         std::fprintf(stderr, "perf_sim: training run dropped iterations\n");
         std::exit(1);
-      }
-    } else if (cell.batch > 0) {
-      simulate::RunOptions options;
-      options.iterations = iterations;
-      options.record_trace = false;
-      std::vector<simulate::BatchedCell> cells;
-      cells.reserve(cell.batch);
-      for (std::size_t i = 0; i < cell.batch; ++i) {
-        simulate::BatchedCell bc;
-        bc.scheme = i == 0 ? scheme.get() : batch_schemes[i - 1].get();
-        bc.config = &cluster;
-        bc.rng = stats::Rng(0x5EED + rep + 7919 * i);
-        bc.options = options;
-        cells.push_back(std::move(bc));
-      }
-      simulate::BatchedKernel kernel(std::move(cells));
-      const auto runs = kernel.run();
-      elapsed = timer.seconds();
-      for (const auto& run : runs) {
-        if (run.workers_heard.count() != iterations) {
-          std::fprintf(stderr, "perf_sim: batched run dropped iterations\n");
-          std::exit(1);
-        }
       }
     } else {
       simulate::RunOptions options;
@@ -273,12 +187,8 @@ Result run_cell(const Cell& cell, std::size_t iterations, std::size_t reps) {
       result.best_seconds = elapsed;
     }
   }
-  // Batched rows report aggregate cell-iterations/sec so the row is
-  // directly comparable with the unbatched row of the same shape.
-  const std::size_t effective =
-      iterations * std::max<std::size_t>(1, cell.batch);
   result.iters_per_sec =
-      static_cast<double>(effective) / result.best_seconds;
+      static_cast<double>(iterations) / result.best_seconds;
   return result;
 }
 

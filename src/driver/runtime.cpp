@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <stdexcept>
 
 #include "core/gradient_source.hpp"
@@ -11,7 +10,6 @@
 #include "data/synthetic.hpp"
 #include "driver/runtime_registry.hpp"
 #include "driver/scenario_registry.hpp"
-#include "engine/batched_train.hpp"
 #include "engine/simulated_provider.hpp"
 #include "engine/training_engine.hpp"
 #include "opt/least_squares.hpp"
@@ -245,139 +243,6 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
   record.failures = run.failures;
   record.iterations_run = config.iterations;
   return record;
-}
-
-std::vector<RunRecord> run_simulated_batch(
-    std::span<const ExperimentConfig> configs) {
-  COUPON_ASSERT_MSG(!configs.empty(), "run_simulated_batch: empty batch");
-
-  // Per-cell setup replicates SimulatedRuntime::run's timing-only branch
-  // verbatim — same validation, same RNG draw order (rng(seed), then
-  // scheme construction, then the simulation continues on the same
-  // stream) — so batching is invisible in the records.
-  std::vector<RunRecord> records;
-  records.reserve(configs.size());
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(configs.size());  // stable: cells point into this
-  std::vector<std::unique_ptr<core::Scheme>> schemes;
-  schemes.reserve(configs.size());
-  std::vector<simulate::BatchedCell> cells;
-  cells.reserve(configs.size());
-  for (const ExperimentConfig& config : configs) {
-    COUPON_ASSERT_MSG(!config.train && !config.record_trace,
-                      "run_simulated_batch handles timing-only cells; "
-                      "training/trace cells go through SimulatedRuntime");
-    scenarios.push_back(ScenarioRegistry::instance().build(
-        config.scenario, config.num_workers));
-    const Scenario& scenario = scenarios.back();
-    if (scenario.live_only) {
-      throw std::invalid_argument(
-          "scenario '" + scenario.name +
-          "' needs a live cluster (workers join/leave); use --runtime "
-          "threaded or process");
-    }
-    reject_crash_drill(config, "sim");
-    records.push_back(identity_record(config, "sim"));
-
-    stats::Rng rng(config.seed);
-    schemes.push_back(core::SchemeRegistry::instance().create(
-        config.scheme,
-        scheme_config(config, /*default_seed_first_batches=*/false), rng));
-    records.back().scheme_display = std::string(schemes.back()->name());
-
-    simulate::BatchedCell cell;
-    cell.scheme = schemes.back().get();
-    cell.config =
-        config.cluster_override ? &*config.cluster_override : &scenario.cluster;
-    cell.rng = rng;  // positioned after the scheme's construction draws
-    cell.options.iterations = config.iterations;
-    cell.options.record_trace = false;
-    cells.push_back(std::move(cell));
-  }
-
-  const std::vector<simulate::RunReport> runs =
-      simulate::BatchedKernel(std::move(cells)).run();
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const simulate::RunReport& run = runs[i];
-    RunRecord& record = records[i];
-    record.recovery_threshold = run.workers_heard.mean();
-    record.comm_time = run.total_comm_time;
-    record.compute_time = run.total_compute_time;
-    record.total_time = run.total_time;
-    record.mean_units = run.units_received.mean();
-    record.failures = run.failures;
-    record.iterations_run = configs[i].iterations;
-  }
-  return records;
-}
-
-std::vector<RunRecord> run_simulated_train_batch(
-    std::span<const ExperimentConfig> configs) {
-  COUPON_ASSERT_MSG(!configs.empty(),
-                    "run_simulated_train_batch: empty batch");
-
-  // Per-cell setup replicates SimulatedRuntime::run's train branch
-  // verbatim — same validation, same RNG draw order (rng(seed), then the
-  // workload's data draws, then scheme construction, then the provider
-  // continues on the same stream) — so batching is invisible in the
-  // records. Workloads live in a deque: a TrainingWorkload must never be
-  // moved once its source references its dataset.
-  std::vector<RunRecord> records;
-  records.reserve(configs.size());
-  std::deque<TrainingWorkload> workloads;
-  std::vector<std::unique_ptr<core::Scheme>> schemes;
-  schemes.reserve(configs.size());
-  std::vector<std::unique_ptr<opt::IterativeOptimizer>> optimizers;
-  optimizers.reserve(configs.size());
-  std::vector<engine::BatchedTrainCell> cells;
-  cells.reserve(configs.size());
-  for (const ExperimentConfig& config : configs) {
-    COUPON_ASSERT_MSG(config.train,
-                      "run_simulated_train_batch handles training cells; "
-                      "timing-only cells go through run_simulated_batch");
-    const Scenario scenario = ScenarioRegistry::instance().build(
-        config.scenario, config.num_workers);
-    if (scenario.live_only) {
-      throw std::invalid_argument(
-          "scenario '" + scenario.name +
-          "' needs a live cluster (workers join/leave); use --runtime "
-          "threaded or process");
-    }
-    reject_crash_drill(config, "sim");
-    records.push_back(identity_record(config, "sim"));
-
-    stats::Rng rng(config.seed);
-    workloads.emplace_back();
-    TrainingWorkload& workload = workloads.back();
-    build_workload(config, rng, workload);
-    schemes.push_back(core::SchemeRegistry::instance().create(
-        config.scheme,
-        scheme_config(config, /*default_seed_first_batches=*/true), rng));
-    records.back().scheme_display = std::string(schemes.back()->name());
-
-    engine::BatchedTrainCell cell;
-    cell.scheme = schemes.back().get();
-    cell.source = workload.source.get();
-    cell.cluster = std::make_shared<const simulate::ClusterConfig>(
-        config.cluster_override ? *config.cluster_override : scenario.cluster);
-    cell.rng = rng;  // positioned after the workload's and scheme's draws
-    optimizers.push_back(make_optimizer(config));
-    cell.optimizer = optimizers.back().get();
-    cell.options = engine_options(config, workload);
-    cells.push_back(std::move(cell));
-  }
-
-  std::vector<engine::TrainReport> reports =
-      engine::BatchedTrainKernel(std::move(cells)).run();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    engine::TrainReport& report = reports[i];
-    RunRecord& record = records[i];
-    fill_convergence_fields(report, workloads[i], record);
-    record.comm_time = report.comm_seconds;
-    record.compute_time = report.compute_seconds;
-    record.loss_history = std::move(report.loss_history);
-  }
-  return records;
 }
 
 RunRecord ThreadedRuntime::run(const ExperimentConfig& config) const {

@@ -13,7 +13,6 @@
 /// never branch on a runtime enum or name.
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,33 +63,6 @@ class ProcessRuntime final : public Runtime {
   std::string_view name() const override { return "process"; }
   RunRecord run(const ExperimentConfig& config) const override;
 };
-
-/// Executes a group of timing-only simulated cells through one
-/// `simulate::BatchedKernel` pass — the sweep engine's fast path for
-/// fig2-style grids (many same-n cells differing in scheme/seed/
-/// scenario). Requirements: every config must be runnable by
-/// `SimulatedRuntime::run` with `train` and `record_trace` off, and all
-/// configs must share one `num_workers`. Per-cell setup (seeded RNG,
-/// scheme construction, scenario resolution) matches
-/// `SimulatedRuntime::run` exactly and each cell keeps its own RNG
-/// stream, so the returned records are bit-identical to running each
-/// config through the runtime one at a time.
-std::vector<RunRecord> run_simulated_batch(
-    std::span<const ExperimentConfig> configs);
-
-/// Executes a group of simulated *training* cells through one
-/// `engine::BatchedTrainKernel` pass — the training-path sibling of
-/// `run_simulated_batch` for multi-seed convergence grids.
-/// Requirements: every config must be runnable by
-/// `SimulatedRuntime::run` with `train` on, and all configs must share
-/// one model dimension (`features`). Per-cell setup (seeded RNG,
-/// workload generation, scheme construction, optimizer) matches
-/// `SimulatedRuntime::run`'s train branch exactly and each cell keeps
-/// its own RNG stream, provider, and optimizer, so the returned records
-/// are bit-identical to running each config through the runtime one at
-/// a time.
-std::vector<RunRecord> run_simulated_train_batch(
-    std::span<const ExperimentConfig> configs);
 
 /// Builds the named runtime via RuntimeRegistry ("sim"/"simulated"/
 /// "simulate", "threaded"/"thread"/"threads", "process"/"processes"/

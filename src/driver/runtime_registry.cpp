@@ -21,9 +21,7 @@ RuntimeRegistry::RuntimeRegistry() {
            "no gradients computed",
        .caps = {.simulated_clock = true,
                 .honours_cluster_override = true,
-                .honours_sim_only_scenarios = true,
-                .batches_sim_cells = true,
-                .batches_train_cells = true},
+                .honours_sim_only_scenarios = true},
        .factory = [] { return std::make_unique<SimulatedRuntime>(); }});
   add({.name = "threaded",
        .aliases = {"thread", "threads"},

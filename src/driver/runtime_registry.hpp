@@ -50,15 +50,6 @@ struct RuntimeCapabilities {
   /// (ExperimentConfig::crash_worker) is meaningful, and the runtime
   /// needs fork()/socket support from the sandbox.
   bool spawns_processes = false;
-  /// Timing-only cells (train and record_trace off) may be grouped into
-  /// one `simulate::BatchedKernel` pass by the sweep engine
-  /// (`run_simulated_batch`), bit-identical to cell-at-a-time execution.
-  bool batches_sim_cells = false;
-  /// Training cells (train on, record_trace off) may be grouped into one
-  /// `engine::BatchedTrainKernel` pass by the sweep engine
-  /// (`run_simulated_train_batch`), bit-identical to cell-at-a-time
-  /// execution.
-  bool batches_train_cells = false;
 };
 
 /// One registry entry: identity, documentation, capabilities, factory.

@@ -10,7 +10,6 @@
 
 #include "core/scheme_registry.hpp"
 #include "driver/driver.hpp"
-#include "driver/runtime.hpp"
 #include "driver/runtime_registry.hpp"
 #include "driver/scenario_registry.hpp"
 #include "util/thread_pool.hpp"
@@ -140,85 +139,29 @@ std::vector<RunRecord> run_sweep(const SweepPlan& plan,
                                  const SweepOptions& options) {
   const std::vector<SweepCell> cells = expand_plan(plan);
 
-  // Work-item planning: when the runtime batches simulated cells and the
-  // plan records no traces, consecutive same-n cells are grouped into one
-  // lockstep kernel pass of up to `options.sim_batch` cells — timing-only
-  // plans through BatchedKernel (run_simulated_batch, needs
-  // RuntimeCapabilities::batches_sim_cells), training plans through
-  // BatchedTrainKernel (run_simulated_train_batch, needs
-  // batches_train_cells). Batched or not, every cell's RNG stream is
-  // seeded from its own config, so the records — and therefore the sink
-  // bytes — are identical for any batch size and thread count.
-  const RuntimeEntry* runtime =
-      RuntimeRegistry::instance().find(plan.base.runtime);
-  const bool batchable =
-      runtime != nullptr && !plan.base.record_trace && options.sim_batch > 1 &&
-      (plan.base.train ? runtime->caps.batches_train_cells
-                       : runtime->caps.batches_sim_cells);
-  struct Item {
-    std::size_t first = 0;
-    std::size_t count = 1;
-  };
-  std::vector<Item> items;
-  items.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size();) {
-    Item item{i, 1};
-    if (batchable) {
-      while (i + item.count < cells.size() &&
-             item.count < options.sim_batch &&
-             cells[i + item.count].config.num_workers ==
-                 cells[i].config.num_workers) {
-        ++item.count;
-      }
-    }
-    items.push_back(item);
-    i += item.count;
-  }
-
+  // One slot per cell, filled by exactly one task; a failing cell marks
+  // only its own slot, so every other cell still finishes and streams.
   std::vector<std::optional<RunRecord>> slots(cells.size());
   std::vector<std::exception_ptr> errors(cells.size());
 
-  // Runs one work item; a batched item's failure marks all of its cells
-  // (expand_plan pre-validates names and capabilities, so mid-batch
-  // throws indicate a cell that would fail standalone too).
-  auto run_item = [&](const Item& item) {
-    if (item.count == 1) {
-      std::vector<RunRecord> one;
-      one.push_back(run_experiment(cells[item.first].config));
-      return one;
-    }
-    std::vector<ExperimentConfig> configs;
-    configs.reserve(item.count);
-    for (std::size_t k = 0; k < item.count; ++k) {
-      configs.push_back(cells[item.first + k].config);
-    }
-    return plan.base.train ? run_simulated_train_batch(configs)
-                           : run_simulated_batch(configs);
-  };
-
-  // Serial path: run in item order, stream as we go. This is also the
+  // Serial path: run in cell order, stream as we go. This is also the
   // reference the parallel path's output must be bit-identical to.
   if (options.threads == 1) {
-    for (const Item& item : items) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
       try {
-        std::vector<RunRecord> records = run_item(item);
-        for (std::size_t k = 0; k < records.size(); ++k) {
-          slots[item.first + k] = std::move(records[k]);
-          if (options.sink != nullptr) {
-            options.sink->write(*slots[item.first + k]);
-          }
+        slots[i] = run_experiment(cells[i].config);
+        if (options.sink != nullptr) {
+          options.sink->write(*slots[i]);
         }
       } catch (...) {
-        for (std::size_t k = 0; k < item.count; ++k) {
-          errors[item.first + k] = std::current_exception();
-        }
+        errors[i] = std::current_exception();
       }
     }
   } else {
     std::size_t threads = options.threads != 0
                               ? options.threads
                               : std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min(threads, std::max<std::size_t>(1, items.size()));
+    threads = std::min(threads, std::max<std::size_t>(1, cells.size()));
     ThreadPool pool(threads);
 
     // Finished records are published under the mutex; the emission cursor
@@ -227,26 +170,19 @@ std::vector<RunRecord> run_sweep(const SweepPlan& plan,
     std::mutex mutex;
     std::size_t cursor = 0;
     std::vector<std::future<void>> futures;
-    futures.reserve(items.size());
-    for (const Item& item : items) {
-      futures.push_back(pool.submit([&, item] {
-        std::vector<RunRecord> records;
+    futures.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      futures.push_back(pool.submit([&, i] {
+        std::optional<RunRecord> record;
         std::exception_ptr error;
         try {
-          records = run_item(item);
+          record = run_experiment(cells[i].config);
         } catch (...) {
           error = std::current_exception();
         }
         std::lock_guard<std::mutex> lock(mutex);
-        if (error != nullptr) {
-          for (std::size_t k = 0; k < item.count; ++k) {
-            errors[item.first + k] = error;
-          }
-        } else {
-          for (std::size_t k = 0; k < records.size(); ++k) {
-            slots[item.first + k] = std::move(records[k]);
-          }
-        }
+        slots[i] = std::move(record);
+        errors[i] = error;
         while (cursor < slots.size() &&
                (slots[cursor].has_value() || errors[cursor] != nullptr)) {
           if (options.sink != nullptr && slots[cursor].has_value()) {

@@ -74,23 +74,16 @@ struct SweepOptions {
   std::size_t threads = 0;
   /// Optional streaming consumer; receives records in cell order.
   RecordSink* sink = nullptr;
-  /// Maximum number of consecutive same-n cells grouped into one
-  /// lockstep kernel pass when the plan records no traces and the
-  /// runtime advertises the matching capability: timing-only plans go
-  /// through `simulate::BatchedKernel` (`run_simulated_batch`, needs
-  /// `batches_sim_cells`), training plans through
-  /// `engine::BatchedTrainKernel` (`run_simulated_train_batch`, needs
-  /// `batches_train_cells`). Batching amortizes RNG, sort, and memory
-  /// traffic across cells and is bit-identical to cell-at-a-time
-  /// execution; 1 disables it. Batches also bound threaded parallelism
-  /// (one batch = one pool task), so leave this modest.
+  /// Ignored: `run_sweep` runs one cell per pool task (DESIGN.md §7.5).
+  /// Kept only so callers that still assign it keep compiling.
   std::size_t sim_batch = 8;
 };
 
-/// Executes every cell and returns the records in cell order. Cells run
-/// in parallel on a coupon::ThreadPool sized by `options.threads`; if any
-/// cell throws, the remaining cells still finish and the first exception
-/// (by cell order) is rethrown after the pool drains.
+/// Executes every cell and returns the records in cell order. Each cell
+/// is one `run_experiment` call and one task on a coupon::ThreadPool
+/// sized by `options.threads`; if any cell throws, the remaining cells
+/// still finish (and still reach the sink) and the first exception (by
+/// cell order) is rethrown after the pool drains.
 std::vector<RunRecord> run_sweep(const SweepPlan& plan,
                                  const SweepOptions& options = {});
 

@@ -1,40 +1,30 @@
 #include "engine/simulated_provider.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace coupon::engine {
 
-SimulatedProvider::SimulatedProvider(
-    const core::Scheme& scheme, const core::UnitGradientSource& source,
-    std::shared_ptr<const simulate::ClusterConfig> cluster, stats::Rng& rng,
-    ProviderOptions options)
+SimulatedProvider::SimulatedProvider(const core::Scheme& scheme,
+                                     const core::UnitGradientSource& source,
+                                     simulate::ClusterConfig cluster,
+                                     stats::Rng& rng, ProviderOptions options)
     : scheme_(scheme),
       source_(source),
       cluster_(std::move(cluster)),
       rng_(rng),
       options_(options),
       cache_(source),
-      model_(simulate::make_latency_model(*cluster_, scheme.num_workers())),
-      kernel_(scheme, *cluster_) {
+      model_(simulate::make_latency_model(cluster_, scheme.num_workers())),
+      kernel_(scheme, cluster_) {
   COUPON_ASSERT(source.num_units() == scheme.num_units());
   if (options_.cache_encode) {
     group_msgs_.resize(scheme.num_encode_groups());
     group_valid_.assign(scheme.num_encode_groups(), 0);
   }
 }
-
-SimulatedProvider::SimulatedProvider(const core::Scheme& scheme,
-                                     const core::UnitGradientSource& source,
-                                     simulate::ClusterConfig cluster,
-                                     stats::Rng& rng, ProviderOptions options)
-    : SimulatedProvider(
-          scheme, source,
-          std::make_shared<const simulate::ClusterConfig>(std::move(cluster)),
-          rng, options) {}
 
 void SimulatedProvider::begin_iteration(std::size_t iteration,
                                         std::span<const double> w) {
@@ -44,9 +34,7 @@ void SimulatedProvider::begin_iteration(std::size_t iteration,
   // see IterationKernel::sorted_arrival).
   arrival_count_ = kernel_.begin_lazy_arrivals(*model_, iteration, rng_);
   cursor_ = 0;
-  ingress_free_at_ = 0.0;
-  max_compute_ = 0.0;
-  any_consumed_ = false;
+  ingress_ = {};
   cache_.begin_iteration();
   std::fill(group_valid_.begin(), group_valid_.end(),
             static_cast<std::uint8_t>(0));
@@ -57,14 +45,8 @@ bool SimulatedProvider::next_arrival(ArrivalView& out) {
     return false;
   }
   const auto& arrival = kernel_.sorted_arrival(cursor_++);
-
-  // The kernel's ingress recurrence: the message waits for the serialized
-  // link, then occupies it for its service time. The busy-until after the
-  // last consumed message is the iteration's completion time.
-  const double start = std::max(arrival.time, ingress_free_at_);
-  ingress_free_at_ = start + kernel_.service_seconds(arrival.worker);
-  max_compute_ = std::max(max_compute_, arrival.compute);
-  any_consumed_ = true;
+  ingress_.receive(arrival.time, arrival.compute,
+                   kernel_.service_seconds(arrival.worker));
 
   // The real worker computation, evaluated only for messages the master
   // actually sits through — exactly the work a physical cluster performs
@@ -96,13 +78,10 @@ bool SimulatedProvider::next_arrival(ArrivalView& out) {
 }
 
 IterationTiming SimulatedProvider::end_iteration() {
+  // IterationKernel::run's accounting over the consumed arrivals.
   IterationTiming timing;
-  // Mirrors IterationKernel::run's accounting: completion is the last
-  // ingress busy-until (0.0 when every message was dropped and nothing
-  // arrived); computation is the max compute among consumed arrivals,
-  // communication the remainder.
-  timing.total_seconds = any_consumed_ ? ingress_free_at_ : 0.0;
-  timing.compute_seconds = max_compute_;
+  timing.total_seconds = ingress_.total_time();
+  timing.compute_seconds = ingress_.max_compute();
   return timing;
 }
 

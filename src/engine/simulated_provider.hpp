@@ -9,9 +9,12 @@
 /// gradients from a `UnitGradientSource`: each iteration the provider
 /// draws the kernel's (drop, compute-time) schedule, then lazily encodes
 /// a worker's true message only when the engine actually consumes that
-/// arrival. The ingress scan is the kernel's: each message waits for the
-/// serialized master link, occupies it for its service time, and the
-/// iteration ends at the recovery (or drain) completion.
+/// arrival. Arrivals come from the kernel's lazy selection path
+/// (`begin_lazy_arrivals` / `sorted_arrival`) and pass the kernel's
+/// `simulate::FifoIngress` — the same two steps `IterationKernel::run`
+/// takes — so each message waits for the serialized master link,
+/// occupies it for its service time, and the iteration ends at the
+/// recovery (or drain) completion.
 ///
 /// The encode path is allocation-free in steady state and avoids
 /// recomputing work within an iteration twice:
@@ -63,23 +66,20 @@ struct ProviderOptions {
 /// scheme, source, and rng must outlive it.
 class SimulatedProvider final : public IterationProvider {
  public:
-  /// Validates `*cluster` (via make_latency_model) and builds the run's
+  /// Validates `cluster` (via make_latency_model) and builds the run's
   /// latency-model instance, so stateful models (Markov, trace replay)
-  /// keep their cross-iteration state for the whole run. The config is
-  /// shared, not copied — the batched kernels hand the same ClusterConfig
-  /// to many providers. scheme/source/rng are referenced and must outlive
-  /// the provider.
-  SimulatedProvider(const core::Scheme& scheme,
-                    const core::UnitGradientSource& source,
-                    std::shared_ptr<const simulate::ClusterConfig> cluster,
-                    stats::Rng& rng, ProviderOptions options = {});
-
-  /// Convenience overload copying a by-value config into shared storage,
-  /// so single-run callers can keep passing temporaries.
+  /// keep their cross-iteration state for the whole run. The provider
+  /// owns its copy of the config; scheme/source/rng are referenced and
+  /// must outlive the provider.
   SimulatedProvider(const core::Scheme& scheme,
                     const core::UnitGradientSource& source,
                     simulate::ClusterConfig cluster, stats::Rng& rng,
                     ProviderOptions options = {});
+
+  /// The kernel references `cluster_`, so a copied or moved provider
+  /// would leave its kernel pointing into the source object.
+  SimulatedProvider(const SimulatedProvider&) = delete;
+  SimulatedProvider& operator=(const SimulatedProvider&) = delete;
 
   void begin_iteration(std::size_t iteration,
                        std::span<const double> w) override;
@@ -89,7 +89,7 @@ class SimulatedProvider final : public IterationProvider {
  private:
   const core::Scheme& scheme_;
   const core::UnitGradientSource& source_;
-  std::shared_ptr<const simulate::ClusterConfig> cluster_;
+  const simulate::ClusterConfig cluster_;  ///< referenced by kernel_
   stats::Rng& rng_;
   ProviderOptions options_;
   core::CachedGradientSource cache_;  ///< memoizes unit gradients over source_
@@ -100,9 +100,7 @@ class SimulatedProvider final : public IterationProvider {
   std::span<const double> w_;  ///< query point, valid through the iteration
   std::size_t arrival_count_ = 0;  ///< arrivals drawn this iteration
   std::size_t cursor_ = 0;        ///< next arrival to hand out
-  double ingress_free_at_ = 0.0;  ///< the serialized link's busy-until
-  double max_compute_ = 0.0;      ///< max compute among consumed arrivals
-  bool any_consumed_ = false;
+  simulate::FifoIngress ingress_;  ///< the master link over consumed arrivals
   comm::Message message_;  ///< reused encode buffer (view storage)
   /// Group message cache: one slot per scheme encode group, valid flags
   /// cleared each begin_iteration. Empty for schemes without groups.

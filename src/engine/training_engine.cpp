@@ -11,28 +11,20 @@ TrainLoop::TrainLoop(const core::Scheme& scheme,
                      const core::UnitGradientSource& source,
                      IterationProvider& provider,
                      opt::IterativeOptimizer& optimizer,
-                     const TrainOptions& options,
-                     std::span<double> grad_buffer)
+                     const TrainOptions& options)
     : scheme_(scheme),
       source_(source),
       provider_(provider),
       optimizer_(optimizer),
       options_(options),
-      collector_(scheme.make_collector()) {
-  const std::size_t dim = source.dim();
+      collector_(scheme.make_collector()),
+      grad_(source.dim()) {
   COUPON_ASSERT(source.num_units() == scheme.num_units());
-  COUPON_ASSERT(optimizer.weights().size() == dim);
+  COUPON_ASSERT(optimizer.weights().size() == source.dim());
   COUPON_ASSERT_MSG(!options.record_loss_history || options.loss_fn,
                     "record_loss_history requires a loss_fn");
   COUPON_ASSERT_MSG(!options.target_loss || options.loss_fn,
                     "target_loss requires a loss_fn");
-  if (grad_buffer.empty()) {
-    grad_storage_.resize(dim);
-    grad_ = grad_storage_;
-  } else {
-    COUPON_ASSERT(grad_buffer.size() == dim);
-    grad_ = grad_buffer;
-  }
   if (options.record_loss_history) {
     report_.loss_history.reserve(options.iterations);
   }

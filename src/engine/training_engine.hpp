@@ -134,20 +134,17 @@ struct TrainReport {
 /// `step()` until `done()`, then `take_report()`. Each `step()` runs
 /// exactly one iteration of the loop `TrainingEngine::train` runs — the
 /// same statements in the same order, so the trajectory is bitwise
-/// identical. The stepwise seam exists so the batched train kernel can
-/// advance many runs in lockstep and so the allocation tests can observe
-/// per-iteration steady state.
+/// identical. The stepwise seam exists so callers can observe
+/// per-iteration steady state (the allocation tests) and per-iteration
+/// wall time.
 ///
 /// All referenced objects (scheme, source, provider, optimizer, options)
-/// must outlive the loop. When `grad_buffer` is non-empty it is used as
-/// the per-iteration gradient buffer (size = source.dim()) instead of an
-/// internal vector — the batched kernel passes rows of one flat C x p
-/// arena so cells' gradients stay contiguous.
+/// must outlive the loop.
 class TrainLoop {
  public:
   TrainLoop(const core::Scheme& scheme, const core::UnitGradientSource& source,
             IterationProvider& provider, opt::IterativeOptimizer& optimizer,
-            const TrainOptions& options, std::span<double> grad_buffer = {});
+            const TrainOptions& options);
 
   /// Runs one iteration. Precondition: !done().
   void step();
@@ -166,8 +163,7 @@ class TrainLoop {
   opt::IterativeOptimizer& optimizer_;
   const TrainOptions& options_;
   std::unique_ptr<core::Collector> collector_;  ///< reset() per iteration
-  std::vector<double> grad_storage_;  ///< backing when no external buffer
-  std::span<double> grad_;
+  std::vector<double> grad_;  ///< per-iteration decoded gradient, size p
   TrainReport report_;
   std::size_t t_ = 0;
   bool done_ = false;

@@ -99,30 +99,6 @@ std::size_t draw_arrivals_into(std::span<Arrival> out,
   return count;
 }
 
-/// Per-worker metadata spans over a flat arena (offsets are global
-/// positions into `flat`, one n+1 window per kernel/cell).
-struct MetaView {
-  std::span<const std::int64_t> flat;
-  std::span<const std::size_t> offsets;  ///< n + 1 bounds
-
-  std::span<const std::int64_t> of(std::size_t worker) const {
-    return flat.subspan(offsets[worker],
-                        offsets[worker + 1] - offsets[worker]);
-  }
-};
-
-/// Appends `scheme`'s per-worker metadata to the flat arena, pushing one
-/// end bound per worker onto `offsets` (which must already carry the
-/// current start bound — `{0}` for a fresh arena).
-void append_metas(const core::Scheme& scheme, std::vector<std::int64_t>& flat,
-                  std::vector<std::size_t>& offsets) {
-  for (std::size_t i = 0; i < scheme.num_workers(); ++i) {
-    const std::vector<std::int64_t> meta = scheme.message_meta(i);
-    flat.insert(flat.end(), meta.begin(), meta.end());
-    offsets.push_back(flat.size());
-  }
-}
-
 /// The initial sorted-prefix length: the scheme's provable arrival floor
 /// (`min_arrivals_hint`), raised to the expected recovery threshold when
 /// one is known — starting below E[K] would make geometric extension the
@@ -142,137 +118,27 @@ std::size_t start_prefix_for(const core::Scheme& scheme,
   return start;
 }
 
-/// Selection + ingress phases over one iteration's unsorted arrivals.
-///
-/// Selection: materialize the first `start_prefix` arrivals in sorted
-/// order (`std::nth_element` partitions the prefix in O(count), then a
-/// prefix sort orders it); because keys are unique, the result is
-/// bit-identical to the same prefix of a full sort. Whenever the scan
-/// exhausts the sorted prefix without recovery — drops, BCC coverage
-/// failure, a conservative hint — the prefix doubles: [sorted, count)
-/// holds exactly the arrivals ranked >= sorted, so selecting inside it
-/// extends the unique sorted order (DESIGN.md §7.4).
-///
-/// Ingress: the serialized master link is a FIFO — each arrival waits
-/// for the link, occupies it for its service time, and the fully
-/// received message is offered to the collector. Completion order equals
-/// arrival-processing order (the link frees monotonically), so a linear
-/// scan replaces the event heap. The scan stops at recovery — exactly
-/// where the historical DES run_until() stopped.
-IterationReport scan_selected(std::span<Arrival> arrivals,
-                              std::size_t start_prefix,
-                              core::Collector& collector,
-                              std::span<const double> service,
-                              const MetaView& metas) {
-  const std::size_t count = arrivals.size();
-  const auto first = arrivals.begin();
-  std::size_t sorted = std::min(start_prefix, count);
-  if (sorted >= count) {
-    std::sort(first, arrivals.end(), arrival_less);
-    sorted = count;
-  } else {
-    std::nth_element(first, first + sorted, arrivals.end(), arrival_less);
-    std::sort(first, first + sorted, arrival_less);
-  }
-
-  IterationReport report;
-  report.recovered = false;
-  double ingress_free_at = 0.0;
-  double max_compute = 0.0;
-  bool any_received = false;
-  std::size_t cursor = 0;
-  for (;;) {
-    for (; cursor < sorted; ++cursor) {
-      const Arrival& arrival = arrivals[cursor];
-      const double start = std::max(arrival.time, ingress_free_at);
-      ingress_free_at = start + service[arrival.worker];
-      collector.offer(arrival.worker, metas.of(arrival.worker), {});
-      max_compute = std::max(max_compute, arrival.compute);
-      any_received = true;
-      if (collector.ready()) {
-        report.recovered = true;
-        break;
-      }
-    }
-    if (report.recovered || sorted == count) {
-      break;
-    }
-    // Adaptive fallback: extend the sorted prefix geometrically
-    // (sorted >= 1 here — an empty prefix only happens with count == 0,
-    // which took the full-sort branch above).
-    const std::size_t next = std::min(count, sorted * 2);
-    if (next < count) {
-      std::nth_element(first + sorted, first + next, arrivals.end(),
-                       arrival_less);
-      std::sort(first + sorted, first + next, arrival_less);
-    } else {
-      std::sort(first + sorted, arrivals.end(), arrival_less);
-    }
-    sorted = next;
-  }
-
-  // Without recovery the DES drained fully: its clock ended on the last
-  // ingress completion — the final busy-until — or stayed 0 when nothing
-  // was ever scheduled. With recovery, the clock is the busy-until of
-  // the message that flipped ready().
-  report.total_time = any_received ? ingress_free_at : 0.0;
-  report.workers_heard = collector.workers_heard();
-  report.units_received = collector.units_received();
-  report.compute_time = max_compute;
-  report.comm_time = report.total_time - report.compute_time;
-  return report;
-}
-
-/// Folds one iteration into a run aggregate (shared by `simulate_run`
-/// and `BatchedKernel::run`, so batched and sequential runs aggregate in
-/// exactly the same operation order).
-void accumulate(RunReport& run, const IterationReport& it, bool record_trace) {
-  run.total_time += it.total_time;
-  run.total_compute_time += it.compute_time;
-  run.total_comm_time += it.comm_time;
-  run.workers_heard.add(static_cast<double>(it.workers_heard));
-  run.units_received.add(it.units_received);
-  if (!it.recovered) {
-    ++run.failures;
-  }
-  if (record_trace) {
-    run.iterations.push_back(it);
-  }
-}
-
 }  // namespace
 
 IterationKernel::IterationKernel(const core::Scheme& scheme,
                                  const ClusterConfig& config,
                                  KernelOptions options)
-    : scheme_(scheme),
-      config_(config),
-      collector_(scheme.make_collector()) {
+    : config_(config), collector_(scheme.make_collector()) {
   const std::size_t n = scheme.num_workers();
   loads_.resize(n);
   service_seconds_.resize(n);
+  meta_offsets_.reserve(n + 1);
+  meta_offsets_.push_back(0);
   for (std::size_t i = 0; i < n; ++i) {
     loads_[i] = static_cast<double>(scheme.placement().worker(i).size());
     service_seconds_[i] =
         scheme.message_units(i) * config.unit_transfer_seconds;
+    const std::vector<std::int64_t> meta = scheme.message_meta(i);
+    meta_flat_.insert(meta_flat_.end(), meta.begin(), meta.end());
+    meta_offsets_.push_back(meta_flat_.size());
   }
-  meta_offsets_.reserve(n + 1);
-  meta_offsets_.push_back(0);
-  append_metas(scheme, meta_flat_, meta_offsets_);
   arrivals_.resize(n);
   start_prefix_ = start_prefix_for(scheme, options.threshold_selection);
-}
-
-std::span<const IterationKernel::Arrival> IterationKernel::draw_arrivals(
-    LatencyModel& model, std::size_t iteration, stats::Rng& rng) {
-  count_ =
-      draw_arrivals_into(arrivals_, loads_, config_, model, iteration, rng);
-  // Order phase — this span is the simulated provider's contract: every
-  // arrival, fully sorted, because the provider couples the whole order
-  // with real gradient payloads. std::sort (not stable_sort, which
-  // allocates) is safe: keys are unique.
-  std::sort(arrivals_.begin(), arrivals_.begin() + count_, arrival_less);
-  return {arrivals_.data(), count_};
 }
 
 std::size_t IterationKernel::begin_lazy_arrivals(LatencyModel& model,
@@ -280,15 +146,20 @@ std::size_t IterationKernel::begin_lazy_arrivals(LatencyModel& model,
                                                  stats::Rng& rng) {
   count_ =
       draw_arrivals_into(arrivals_, loads_, config_, model, iteration, rng);
+
+  // Selection phase: materialize the first `start_prefix_` arrivals in
+  // sorted order (`std::nth_element` partitions the prefix in O(count),
+  // then a prefix sort orders it); because keys are unique, the result
+  // is bit-identical to the same prefix of a full sort. std::sort (not
+  // stable_sort, which allocates) is safe for the same reason.
   const auto first = arrivals_.begin();
-  lazy_sorted_ = std::min(start_prefix_, count_);
-  if (lazy_sorted_ >= count_) {
+  sorted_ = std::min(start_prefix_, count_);
+  if (sorted_ >= count_) {
     std::sort(first, first + count_, arrival_less);
-    lazy_sorted_ = count_;
+    sorted_ = count_;
   } else {
-    std::nth_element(first, first + lazy_sorted_, first + count_,
-                     arrival_less);
-    std::sort(first, first + lazy_sorted_, arrival_less);
+    std::nth_element(first, first + sorted_, first + count_, arrival_less);
+    std::sort(first, first + sorted_, arrival_less);
   }
   return count_;
 }
@@ -296,21 +167,22 @@ std::size_t IterationKernel::begin_lazy_arrivals(LatencyModel& model,
 const IterationKernel::Arrival& IterationKernel::sorted_arrival(
     std::size_t k) {
   COUPON_ASSERT(k < count_);
-  // Same geometric extension as scan_selected: [lazy_sorted_, count_)
-  // holds exactly the arrivals ranked >= lazy_sorted_, so selecting
-  // inside it extends the unique sorted order (lazy_sorted_ >= 1 here:
-  // start_prefix_for never returns 0 for a non-empty draw).
-  while (k >= lazy_sorted_) {
+  // Geometric extension whenever a consumer reads past the sorted prefix
+  // (drops, BCC coverage failure, a conservative hint): [sorted_, count_)
+  // holds exactly the arrivals ranked >= sorted_, so selecting inside it
+  // extends the unique sorted order (DESIGN.md §7.4). sorted_ >= 1 here:
+  // start_prefix_for never returns 0 for a non-empty draw.
+  while (k >= sorted_) {
     const auto first = arrivals_.begin();
-    const std::size_t next = std::min(count_, lazy_sorted_ * 2);
+    const std::size_t next = std::min(count_, sorted_ * 2);
     if (next < count_) {
-      std::nth_element(first + lazy_sorted_, first + next, first + count_,
+      std::nth_element(first + sorted_, first + next, first + count_,
                        arrival_less);
-      std::sort(first + lazy_sorted_, first + next, arrival_less);
+      std::sort(first + sorted_, first + next, arrival_less);
     } else {
-      std::sort(first + lazy_sorted_, first + count_, arrival_less);
+      std::sort(first + sorted_, first + count_, arrival_less);
     }
-    lazy_sorted_ = next;
+    sorted_ = next;
   }
   return arrivals_[k];
 }
@@ -318,10 +190,29 @@ const IterationKernel::Arrival& IterationKernel::sorted_arrival(
 IterationReport IterationKernel::run(LatencyModel& model,
                                      std::size_t iteration, stats::Rng& rng) {
   collector_->reset();
-  count_ =
-      draw_arrivals_into(arrivals_, loads_, config_, model, iteration, rng);
-  return scan_selected({arrivals_.data(), count_}, start_prefix_, *collector_,
-                       service_seconds_, MetaView{meta_flat_, meta_offsets_});
+  const std::size_t count = begin_lazy_arrivals(model, iteration, rng);
+
+  // Ingress phase: the FIFO link's completion order equals arrival order
+  // (it frees monotonically), so one pass replaces the event heap. The
+  // pass stops at recovery — exactly where the historical DES
+  // run_until() stopped; without recovery the DES drained fully and its
+  // clock ended on the last ingress completion (FifoIngress::total_time).
+  FifoIngress ingress;
+  IterationReport report;
+  report.recovered = false;
+  for (std::size_t k = 0; k < count && !report.recovered; ++k) {
+    const Arrival& arrival = sorted_arrival(k);
+    ingress.receive(arrival.time, arrival.compute,
+                    service_seconds_[arrival.worker]);
+    collector_->offer(arrival.worker, meta(arrival.worker), {});
+    report.recovered = collector_->ready();
+  }
+  report.total_time = ingress.total_time();
+  report.workers_heard = collector_->workers_heard();
+  report.units_received = collector_->units_received();
+  report.compute_time = ingress.max_compute();
+  report.comm_time = report.total_time - report.compute_time;
+  return report;
 }
 
 IterationReport simulate_iteration(const core::Scheme& scheme,
@@ -349,7 +240,18 @@ RunReport simulate_run(const core::Scheme& scheme,
     run.iterations.reserve(options.iterations);
   }
   for (std::size_t t = 0; t < options.iterations; ++t) {
-    accumulate(run, kernel.run(*model, t, rng), options.record_trace);
+    const IterationReport it = kernel.run(*model, t, rng);
+    run.total_time += it.total_time;
+    run.total_compute_time += it.compute_time;
+    run.total_comm_time += it.comm_time;
+    run.workers_heard.add(static_cast<double>(it.workers_heard));
+    run.units_received.add(it.units_received);
+    if (!it.recovered) {
+      ++run.failures;
+    }
+    if (options.record_trace) {
+      run.iterations.push_back(it);
+    }
   }
   return run;
 }
@@ -361,84 +263,6 @@ RunReport simulate_run(const core::Scheme& scheme,
   options.iterations = iterations;
   options.record_trace = true;
   return simulate_run(scheme, config, options, rng);
-}
-
-BatchedKernel::BatchedKernel(std::vector<BatchedCell> cells) {
-  COUPON_ASSERT_MSG(!cells.empty(), "BatchedKernel needs at least one cell");
-  COUPON_ASSERT_MSG(cells.front().scheme != nullptr,
-                    "BatchedCell needs a scheme");
-  num_workers_ = cells.front().scheme->num_workers();
-  const std::size_t n = num_workers_;
-  cells_.reserve(cells.size());
-  arrivals_.resize(cells.size() * n);
-  loads_.resize(cells.size() * n);
-  service_seconds_.resize(cells.size() * n);
-  meta_offsets_.reserve(cells.size() * n + 1);
-  meta_offsets_.push_back(0);
-  for (BatchedCell& cell : cells) {
-    COUPON_ASSERT_MSG(cell.scheme != nullptr && cell.config != nullptr,
-                      "BatchedCell needs a scheme and a cluster config");
-    COUPON_ASSERT_MSG(
-        cell.scheme->num_workers() == n,
-        "BatchedKernel cells must share one worker count, got n="
-            << cell.scheme->num_workers() << " vs " << n);
-    const std::size_t base = cells_.size() * n;
-    const core::Scheme& scheme = *cell.scheme;
-    for (std::size_t i = 0; i < n; ++i) {
-      loads_[base + i] =
-          static_cast<double>(scheme.placement().worker(i).size());
-      service_seconds_[base + i] =
-          scheme.message_units(i) * cell.config->unit_transfer_seconds;
-    }
-    append_metas(scheme, meta_flat_, meta_offsets_);
-
-    CellState state;
-    state.cell = std::move(cell);
-    state.collector = scheme.make_collector();
-    state.model = make_latency_model(*state.cell.config, n);
-    state.start_prefix = start_prefix_for(scheme, /*threshold_selection=*/true);
-    if (state.cell.options.record_trace) {
-      state.report.iterations.reserve(state.cell.options.iterations);
-    }
-    cells_.push_back(std::move(state));
-  }
-}
-
-std::vector<RunReport> BatchedKernel::run() {
-  const std::size_t n = num_workers_;
-  std::size_t max_iterations = 0;
-  for (const CellState& state : cells_) {
-    max_iterations = std::max(max_iterations, state.cell.options.iterations);
-  }
-  // Lockstep, iteration-major: one pass streams every cell's arena row
-  // once, so the batch shares RNG/model/sort code paths (and their
-  // instruction cache) across cells instead of alternating whole runs.
-  // Per-cell RNG, model, and collector state make the interleaving
-  // invisible: every cell sees exactly the sequence simulate_run gives.
-  for (std::size_t t = 0; t < max_iterations; ++t) {
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      CellState& state = cells_[c];
-      if (t >= state.cell.options.iterations) {
-        continue;  // this cell's run already finished
-      }
-      state.collector->reset();
-      const std::span<Arrival> row{arrivals_.data() + c * n, n};
-      const std::size_t count = draw_arrivals_into(
-          row, {loads_.data() + c * n, n}, *state.cell.config, *state.model, t,
-          state.cell.rng);
-      const IterationReport it = scan_selected(
-          row.first(count), state.start_prefix, *state.collector,
-          {service_seconds_.data() + c * n, n},
-          MetaView{meta_flat_, {meta_offsets_.data() + c * n, n + 1}});
-      accumulate(state.report, it, state.cell.options.record_trace);
-    }
-  }
-  std::vector<RunReport> reports;
-  reports.reserve(cells_.size());
-  for (CellState& state : cells_) {
-    reports.push_back(std::move(state.report));
-  }
-  return reports;
 }
 
 }  // namespace coupon::simulate

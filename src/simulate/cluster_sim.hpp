@@ -32,7 +32,7 @@
 /// typed sort-based engine that draws compute times in the historical
 /// event-loop RNG order and resolves the serialized FIFO ingress by an
 /// arrival-sorted scan — provably trace-equivalent to the old
-/// `EventQueue`-based loop (equivalence argument in DESIGN.md §7, pinned
+/// discrete-event loop (equivalence argument in DESIGN.md §7, pinned
 /// byte-for-byte by tests/golden/sweep_2x2.jsonl) but with zero
 /// steady-state heap allocations per iteration.
 ///
@@ -43,19 +43,17 @@
 /// (`std::nth_element` + prefix sort) and extends the sorted prefix
 /// geometrically when drops or coverage failure push recovery past it —
 /// bit-identical to the full sort because arrival keys (time, worker)
-/// are unique (DESIGN.md §7.4). `BatchedKernel` additionally carries
-/// many same-n cells (different schemes/seeds) through one lockstep
-/// draw+selection pass over flat per-cell arenas, which is how sweep
-/// grids amortize RNG and memory traffic (driver/sweep.hpp wires it in).
+/// are unique (DESIGN.md §7.4).
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/scheme.hpp"
 #include "simulate/cluster_config.hpp"
-#include "simulate/event_queue.hpp"
 #include "simulate/iteration_report.hpp"
 #include "simulate/latency_model.hpp"
 #include "stats/rng.hpp"
@@ -88,8 +86,7 @@ struct RunOptions {
   bool record_trace = false;
 };
 
-/// Tuning knobs for `IterationKernel` (and, implicitly, `BatchedKernel`,
-/// which always selects).
+/// Tuning knobs for `IterationKernel`.
 struct KernelOptions {
   /// Sort only the scheme's minimum-arrivals prefix up front and extend
   /// it geometrically on demand (DESIGN.md §7.4) instead of fully
@@ -97,6 +94,37 @@ struct KernelOptions {
   /// the off position exists as the reference the equivalence tests
   /// compare against, and as an escape hatch for profiling.
   bool threshold_selection = true;
+};
+
+/// The master's serialized FIFO ingress link over one iteration: each
+/// received message waits for the link, then occupies it for its
+/// service time. `IterationKernel::run` and the training engine's
+/// `SimulatedProvider` both resolve their arrivals through this one
+/// step, so the timing recurrence — and every float it produces — is
+/// written once. Default-constructed = an idle link at time 0.
+class FifoIngress {
+ public:
+  /// Receives a message reaching the link at `arrival_time` from a
+  /// worker that computed for `compute` seconds:
+  /// busy-until = max(arrival, busy-until) + service.
+  void receive(double arrival_time, double compute, double service) {
+    busy_until_ = std::max(arrival_time, busy_until_) + service;
+    max_compute_ = std::max(max_compute_, compute);
+    any_received_ = true;
+  }
+
+  /// The iteration's completion time: the busy-until after the last
+  /// received message, or 0 when nothing arrived (every message dropped).
+  double total_time() const { return any_received_ ? busy_until_ : 0.0; }
+
+  /// The max compute duration among received messages (the paper's
+  /// computation time; communication is the remainder).
+  double max_compute() const { return max_compute_; }
+
+ private:
+  double busy_until_ = 0.0;
+  double max_compute_ = 0.0;
+  bool any_received_ = false;
 };
 
 /// Allocation-free iteration engine for one (scheme, cluster) run
@@ -116,19 +144,22 @@ struct KernelOptions {
 ///      the scheme's recovery prefix is sorted up front
 ///      (`std::nth_element` + prefix sort from `min_arrivals_hint()` /
 ///      `expected_recovery_threshold()`), and the sorted prefix doubles
-///      whenever the scan exhausts it without recovery; unique keys
+///      whenever the scan runs past it without recovery; unique keys
 ///      make every prefix bit-identical to the full sort's.
-///   3. the master's serialized FIFO ingress is resolved by a linear scan
-///      (`busy-until = max(arrival, busy-until) + service`), offering each
-///      message to the collector in completion order and stopping at
-///      recovery — exactly when the old loop's run_until stopped.
+///   3. each arrival, in that order, passes the master's `FifoIngress`
+///      and is offered to the collector, stopping at recovery — exactly
+///      when the old loop's run_until stopped.
+///
+/// Phases 1–2 are `begin_lazy_arrivals` / `sorted_arrival`, which the
+/// training engine's simulated provider drives itself; `run` is the
+/// timing-only consumer of the same selection path.
 ///
 /// The scheme and config must outlive the kernel; the config must already
 /// have been validated (`make_latency_model` validates).
 class IterationKernel {
  public:
   /// One master-side arrival: a worker's message reaching the ingress
-  /// link. Produced by `draw_arrivals` in completion order.
+  /// link. Served by `sorted_arrival` in completion order.
   struct Arrival {
     double time = 0.0;     ///< broadcast_seconds + compute
     double compute = 0.0;  ///< the model draw (0 for unloaded workers)
@@ -144,32 +175,20 @@ class IterationKernel {
   IterationReport run(LatencyModel& model, std::size_t iteration,
                       stats::Rng& rng);
 
-  /// The kernel's first two phases only: draws drops + compute times in
-  /// the historical per-worker RNG order and returns the iteration's
-  /// arrivals sorted by (time, worker) — the order the master observes
-  /// them. The view is valid until the next draw_arrivals/run call.
-  /// Used by the training engine's simulated provider, which couples
-  /// these arrival times with real gradient payloads and runs the
-  /// ingress scan itself (engine/simulated_provider.hpp); `run` stays
-  /// the timing-only fast path over the same draws.
-  std::span<const Arrival> draw_arrivals(LatencyModel& model,
-                                         std::size_t iteration,
-                                         stats::Rng& rng);
-
-  /// Lazy variant of `draw_arrivals` for consumers that stop early (the
-  /// simulated provider stops at recovery, typically after a small
-  /// prefix). Draws the iteration's arrivals in the same RNG order but
-  /// sorts only the kernel's selection prefix up front; `sorted_arrival`
-  /// then serves the k-th earliest arrival, extending the sorted prefix
-  /// geometrically exactly like `run`'s selection phase. Unique (time,
-  /// worker) keys make every served prefix bit-identical to the full
-  /// sort's. Returns the number of arrivals this iteration.
+  /// Phases 1–2 for consumers that stop early (`run` and the simulated
+  /// provider both stop at recovery, typically after a small prefix).
+  /// Draws drops + compute times in the historical per-worker RNG order
+  /// but sorts only the kernel's selection prefix up front;
+  /// `sorted_arrival` then serves the k-th earliest arrival, extending
+  /// the sorted prefix geometrically. Unique (time, worker) keys make
+  /// every served prefix bit-identical to the full sort's. Returns the
+  /// number of arrivals this iteration.
   std::size_t begin_lazy_arrivals(LatencyModel& model, std::size_t iteration,
                                   stats::Rng& rng);
 
-  /// The k-th earliest arrival of the current lazy iteration. Requires
+  /// The k-th earliest arrival of the current iteration. Requires
   /// `k < begin_lazy_arrivals(...)`; invalidated by the next
-  /// draw_arrivals/begin_lazy_arrivals/run call.
+  /// begin_lazy_arrivals/run call.
   const Arrival& sorted_arrival(std::size_t k);
 
   /// Master-ingress occupancy of worker `i`'s message, in seconds
@@ -186,13 +205,13 @@ class IterationKernel {
             meta_offsets_[worker + 1] - meta_offsets_[worker]};
   }
 
-  /// The selection start prefix in use: how many earliest arrivals `run`
-  /// sorts before the first scan (n when threshold selection is off or
-  /// the scheme is wait-for-all). Exposed for tests and diagnostics.
+  /// The selection start prefix in use: how many earliest arrivals are
+  /// sorted before the first one is served (n when threshold selection
+  /// is off or the scheme is wait-for-all). Exposed for tests and
+  /// diagnostics.
   std::size_t start_prefix() const { return start_prefix_; }
 
  private:
-  const core::Scheme& scheme_;
   const ClusterConfig& config_;
   std::unique_ptr<core::Collector> collector_;  ///< reset() per iteration
   std::vector<double> loads_;            ///< |G_i| per worker
@@ -202,7 +221,7 @@ class IterationKernel {
   std::vector<Arrival> arrivals_;  ///< reused scratch arena, size n
   std::size_t count_ = 0;          ///< arrivals drawn this iteration
   std::size_t start_prefix_ = 0;   ///< initial sorted-prefix length
-  std::size_t lazy_sorted_ = 0;    ///< sorted-prefix length (lazy mode)
+  std::size_t sorted_ = 0;         ///< sorted-prefix length this iteration
 };
 
 /// Simulates one iteration of distributed GD for `scheme` on a cluster
@@ -237,63 +256,5 @@ RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
 /// trace recorded (the historical behaviour of this signature).
 RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
                        std::size_t iterations, stats::Rng& rng);
-
-/// One cell of a `BatchedKernel` run: a (scheme, cluster, RNG stream)
-/// tuple positioned exactly where `simulate_run` would start drawing —
-/// i.e. `rng` is a copy of the caller's generator *after* scheme
-/// construction consumed its share. `scheme` and `config` must outlive
-/// the kernel; all cells must share one worker count n.
-struct BatchedCell {
-  const core::Scheme* scheme = nullptr;
-  const ClusterConfig* config = nullptr;
-  stats::Rng rng{0};
-  RunOptions options;
-};
-
-/// Structure-of-arrays batch engine: carries many same-n sweep cells
-/// (different schemes/seeds/latency models) through one lockstep
-/// draw+selection pass per iteration (DESIGN.md §7.5). All per-cell
-/// scratch lives in flat C x n arenas carved at construction — arrival
-/// rows, service times, loads, metadata — so the steady-state loop
-/// performs zero heap allocations (traces off) and a fig2-style grid
-/// walks memory sequentially instead of bouncing between C kernels.
-///
-/// Determinism: each cell owns its RNG stream, latency model, and
-/// collector, so interleaving cells within an iteration cannot perturb
-/// any cell's draws — `run()` is bit-identical to running every cell
-/// through its own `IterationKernel` via `simulate_run`, in any order.
-class BatchedKernel {
- public:
-  /// Validates the batch (non-empty, uniform n) and builds the arenas,
-  /// per-cell collectors, and latency models. Threshold selection is
-  /// always on (it is bit-identical to the full sort).
-  explicit BatchedKernel(std::vector<BatchedCell> cells);
-
-  std::size_t num_cells() const { return cells_.size(); }
-
-  /// Runs every cell's iterations in lockstep (iteration-major, cell-
-  /// minor) and returns one `RunReport` per cell, in cell order. One-
-  /// shot: each call continues the cells' RNG/model state, so call it
-  /// once per kernel for `simulate_run`-equivalent results.
-  std::vector<RunReport> run();
-
- private:
-  struct CellState {
-    BatchedCell cell;
-    std::unique_ptr<core::Collector> collector;
-    std::unique_ptr<LatencyModel> model;
-    std::size_t start_prefix = 0;
-    RunReport report;
-  };
-
-  std::size_t num_workers_ = 0;
-  std::vector<CellState> cells_;
-  /// Flat C x n arenas; cell c's row occupies [c * n, (c + 1) * n).
-  std::vector<IterationKernel::Arrival> arrivals_;
-  std::vector<double> loads_;
-  std::vector<double> service_seconds_;
-  std::vector<std::int64_t> meta_flat_;    ///< all cells' metadata
-  std::vector<std::size_t> meta_offsets_;  ///< C x n + 1 bounds
-};
 
 }  // namespace coupon::simulate

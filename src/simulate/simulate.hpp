@@ -4,6 +4,5 @@
 /// Umbrella header for the simulate module.
 
 #include "simulate/cluster_sim.hpp"   // IWYU pragma: export
-#include "simulate/event_queue.hpp"   // IWYU pragma: export
 #include "simulate/experiment.hpp"    // IWYU pragma: export
 #include "simulate/latency_model.hpp" // IWYU pragma: export

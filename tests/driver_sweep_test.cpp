@@ -1,15 +1,18 @@
 // Tests for the SweepPlan API: cartesian expansion order, up-front name
 // validation, parallel == serial bit-identical output, streaming sink
-// ordering, and the partial-decode failure policy exercised end-to-end
-// through the unified Runtime interface.
+// ordering, per-cell error isolation, and the partial-decode failure
+// policy exercised end-to-end through the unified Runtime interface.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/scheme_registry.hpp"
+#include "core/uncoded.hpp"
 #include "driver/driver.hpp"
 #include "driver/sweep.hpp"
 
@@ -209,6 +212,70 @@ TEST(SweepPlan, SeedAxisGivesEachCellItsOwnStream) {
   EXPECT_EQ(records[2].seed, 3u);
   // Different seeds, different realized traces.
   EXPECT_NE(summary_csv({records[0]}), summary_csv({records[1]}));
+}
+
+namespace {
+
+/// Keeps every record it is handed, in arrival order.
+struct CollectingSink final : driver::RecordSink {
+  std::vector<driver::RunRecord> records;
+  void write(const driver::RunRecord& record) override {
+    records.push_back(record);
+  }
+};
+
+}  // namespace
+
+TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
+  // A test scheme that is uncoded except that building it at load 3
+  // throws: the load-2 cells are healthy, the load-3 cells fail at run
+  // time (expand_plan cannot see it coming). Every healthy cell must
+  // still reach the sink, in cell order, and the failure must surface.
+  auto& registry = coupon::core::SchemeRegistry::instance();
+  if (registry.find("test_throws_at_load3") == nullptr) {
+    coupon::core::SchemeRegistration registration(
+        {.name = "test_throws_at_load3",
+         .aliases = {},
+         .description = "uncoded, but throws at load 3 (test scheme)",
+         .caps = {.supports_partial_decode = true},
+         .factory = [](const coupon::core::SchemeConfig& c,
+                       coupon::stats::Rng&)
+             -> std::unique_ptr<coupon::core::Scheme> {
+           if (c.load == 3) {
+             throw std::runtime_error("test scheme refuses load 3");
+           }
+           return std::make_unique<coupon::core::UncodedScheme>(
+               c.num_workers, c.num_units);
+         }});
+  }
+  driver::SweepPlan plan;
+  plan.base.scheme = "test_throws_at_load3";
+  plan.base.num_workers = 6;
+  plan.base.num_units = 6;
+  plan.base.iterations = 3;
+  plan.base.record_trace = false;
+  plan.loads = {2, 3};
+  plan.seeds = {1, 2, 3};
+
+  // Cells nest load outside seed: cells 0-2 are the healthy load-2 ones.
+  const auto cells = driver::expand_plan(plan);
+  ASSERT_EQ(cells.size(), 6u);
+  std::vector<driver::RunRecord> healthy;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(cells[i].config.load, 2u);
+    healthy.push_back(driver::run_experiment(cells[i].config));
+  }
+
+  for (std::size_t threads : {1u, 2u}) {
+    CollectingSink sink;
+    driver::SweepOptions options;
+    options.threads = threads;
+    options.sink = &sink;
+    EXPECT_THROW(driver::run_sweep(plan, options), std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(summary_csv(sink.records), summary_csv(healthy))
+        << "threads=" << threads;
+  }
 }
 
 // --- FailurePolicy::kApplyPartial end-to-end through Runtime ------------

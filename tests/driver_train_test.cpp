@@ -183,32 +183,6 @@ TEST(DriverTrain, TrainingSweepIsBitIdenticalSerialVsParallel) {
   EXPECT_EQ(serial, run_to_jsonl(4));
 }
 
-TEST(DriverTrain, BatchedTrainingSweepIsBitIdenticalToSequential) {
-  // sim_batch > 1 routes train cells through BatchedTrainKernel
-  // (run_simulated_train_batch); sim_batch = 1 runs every cell through
-  // SimulatedRuntime::run. The sink bytes must be identical — lockstep
-  // batching is invisible in the records.
-  driver::SweepPlan plan;
-  plan.base = small_train_config();
-  plan.base.record_loss_history = true;
-  plan.schemes = {"bcc", "gc_cyclic", "sgc"};
-  plan.seeds = {1, 2, 3, 4};
-
-  auto run_to_jsonl = [&](std::size_t sim_batch) {
-    std::ostringstream os;
-    driver::JsonlSink sink(os);
-    driver::SweepOptions options;
-    options.threads = 1;
-    options.sink = &sink;
-    options.sim_batch = sim_batch;
-    driver::run_sweep(plan, options);
-    return os.str();
-  };
-  const std::string sequential = run_to_jsonl(1);
-  ASSERT_FALSE(sequential.empty());
-  EXPECT_EQ(sequential, run_to_jsonl(8));
-}
-
 TEST(DriverTrain, ThreadedRecordAlsoCarriesTheNewFields) {
   auto config = small_train_config();
   config.runtime = "threaded";

@@ -157,44 +157,6 @@ TEST(AllocationFree, LargeNSelectionPathStaysAllocationFree) {
             0u);
 }
 
-TEST(AllocationFree, BatchedKernelSteadyStateOnlyAllocatesSetup) {
-  // Same bound technique as the simulate_run test: a fresh BatchedKernel
-  // run at 10 iterations and one at 500 must allocate identically — the
-  // flat arenas are carved at construction, the lockstep loop reuses
-  // them. (Traces off; per-cell trace vectors are the documented
-  // exception.)
-  auto count_batched_run = [](std::size_t iterations) {
-    core::SchemeConfig config;
-    config.num_workers = 64;
-    config.num_units = 64;
-    config.load = 4;
-    std::vector<std::unique_ptr<core::Scheme>> schemes;
-    std::vector<BatchedCell> cells;
-    const ClusterConfig cluster = alloc_test_cluster();
-    for (std::uint64_t seed : {21u, 22u, 23u, 24u}) {
-      stats::Rng rng(seed);
-      schemes.push_back(
-          core::SchemeRegistry::instance().create("bcc", config, rng));
-      BatchedCell cell;
-      cell.scheme = schemes.back().get();
-      cell.config = &cluster;
-      cell.rng = rng;
-      cell.options.iterations = iterations;
-      cell.options.record_trace = false;
-      cells.push_back(cell);
-    }
-    const std::size_t before = g_allocations.load();
-    const auto reports = BatchedKernel(std::move(cells)).run();
-    const std::size_t after = g_allocations.load();
-    EXPECT_EQ(reports.size(), 4u);
-    EXPECT_EQ(reports[0].workers_heard.count(), iterations);
-    return after - before;
-  };
-
-  const std::size_t setup_cost = count_batched_run(10);
-  EXPECT_EQ(count_batched_run(500), setup_cost);
-}
-
 TEST(AllocationFree, SimulateRunWithoutTraceOnlyAllocatesSetup) {
   // The full simulate_run path: model + kernel construction allocate, the
   // iteration loop must not. Bound the whole call by the cost of a
@@ -317,57 +279,6 @@ TEST(AllocationFree, TrainingWithDropsAndPartialDecodeStaysAllocationFree) {
                                              /*warmup=*/3, /*iterations=*/200),
               0u);
   }
-}
-
-TEST(AllocationFree, BatchedTrainKernelSteadyStateOnlyAllocatesSetup) {
-  // BatchedTrainKernel's lockstep loop inherits TrainLoop's budget: a
-  // fresh kernel run at 5 iterations and one at 100 must allocate
-  // identically (the C x p arena, providers, and collectors are built at
-  // construction; warm-up growth is bounded by the first iterations,
-  // which both runs share).
-  core::SchemeConfig config;
-  config.num_workers = 24;
-  config.num_units = 24;
-  config.load = 4;
-  data::SyntheticConfig dconf;
-  dconf.num_features = 12;
-  stats::Rng data_rng(0xBA7C);
-  const data::SyntheticProblem problem =
-      data::generate_linreg(config.num_units, dconf, /*noise_stddev=*/0.2,
-                            data_rng);
-  const core::LeastSquaresExampleSource source(problem.dataset);
-  const auto cluster =
-      std::make_shared<const ClusterConfig>(alloc_test_cluster());
-
-  auto count_batched_train = [&](std::size_t iterations) {
-    std::vector<std::unique_ptr<core::Scheme>> schemes;
-    std::vector<std::unique_ptr<opt::IterativeOptimizer>> optimizers;
-    std::vector<engine::BatchedTrainCell> cells;
-    for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
-      stats::Rng rng(seed);
-      schemes.push_back(
-          core::SchemeRegistry::instance().create("bcc", config, rng));
-      optimizers.push_back(std::make_unique<opt::GradientDescent>(
-          dconf.num_features, opt::LearningRateSchedule::constant(0.05)));
-      engine::BatchedTrainCell cell;
-      cell.scheme = schemes.back().get();
-      cell.source = &source;
-      cell.cluster = cluster;
-      cell.rng = rng;
-      cell.optimizer = optimizers.back().get();
-      cell.options.iterations = iterations;
-      cells.push_back(std::move(cell));
-    }
-    const std::size_t before = g_allocations.load();
-    const auto reports = engine::BatchedTrainKernel(std::move(cells)).run();
-    const std::size_t after = g_allocations.load();
-    EXPECT_EQ(reports.size(), 4u);
-    EXPECT_EQ(reports[0].iterations_run, iterations);
-    return after - before;
-  };
-
-  const std::size_t setup_cost = count_batched_train(5);
-  EXPECT_EQ(count_batched_train(100), setup_cost);
 }
 
 }  // namespace

@@ -10,8 +10,6 @@
 //   * the min_arrivals_hint conformance contract — the hint must be a
 //     provable lower bound on offers-to-ready under ANY arrival order,
 //     or selection would sort too little and change results;
-//   * BatchedKernel == per-cell simulate_run, field for field, across
-//     mixed schemes / seeds / clusters / trace settings;
 //   * the heavy-drop edge where fewer arrivals survive than the start
 //     prefix wants (the full-sort fallback branch).
 
@@ -185,114 +183,6 @@ TEST(ThresholdSelection, HeavyDropsFallBackToFullSortBitIdentically) {
   const std::size_t failures = expect_selection_equivalent(
       *scheme, selection_cluster(0.95), /*iterations=*/300, "bcc drop=0.95");
   EXPECT_GT(failures, 250u);  // the edge path is actually the common path
-}
-
-TEST(BatchedKernel, MatchesPerCellSimulateRunExactly) {
-  // Mixed schemes, seeds, clusters, and trace settings in one batch; the
-  // sequential reference replays each cell's exact RNG protocol (build
-  // consumes the seed-fresh stream, the run continues it).
-  struct Spec {
-    const char* scheme;
-    std::uint64_t seed;
-    double drop;
-    bool trace;
-  };
-  const std::vector<Spec> specs = {{"bcc", 101, 0.0, false},
-                                   {"fr", 202, 0.1, false},
-                                   {"uncoded", 303, 0.0, true},
-                                   {"gc_cyclic", 404, 0.3, false},
-                                   {"bcc", 505, 0.5, true},
-                                   {"simple_random", 606, 0.0, false}};
-
-  std::vector<std::unique_ptr<core::Scheme>> schemes;
-  std::vector<ClusterConfig> clusters;
-  std::vector<RunReport> expected;
-  std::vector<BatchedCell> cells;
-  clusters.reserve(specs.size());  // cells hold pointers into this
-  for (const Spec& spec : specs) {
-    stats::Rng rng(spec.seed);
-    core::SchemeConfig config;
-    config.num_workers = 48;
-    config.num_units = 48;
-    config.load = 4;
-    schemes.push_back(
-        core::SchemeRegistry::instance().create(spec.scheme, config, rng));
-    clusters.push_back(selection_cluster(spec.drop));
-
-    RunOptions options;
-    options.iterations = 60;
-    options.record_trace = spec.trace;
-
-    BatchedCell cell;
-    cell.scheme = schemes.back().get();
-    cell.config = &clusters.back();
-    cell.rng = rng;  // post-build copy: exactly where simulate_run starts
-    cell.options = options;
-    cells.push_back(cell);
-
-    expected.push_back(
-        simulate_run(*schemes.back(), clusters.back(), options, rng));
-  }
-
-  BatchedKernel kernel(std::move(cells));
-  ASSERT_EQ(kernel.num_cells(), specs.size());
-  const std::vector<RunReport> actual = kernel.run();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t c = 0; c < actual.size(); ++c) {
-    const std::string label =
-        std::string(specs[c].scheme) + " cell " + std::to_string(c);
-    EXPECT_EQ(actual[c].total_time, expected[c].total_time) << label;
-    EXPECT_EQ(actual[c].total_compute_time, expected[c].total_compute_time)
-        << label;
-    EXPECT_EQ(actual[c].total_comm_time, expected[c].total_comm_time) << label;
-    EXPECT_EQ(actual[c].failures, expected[c].failures) << label;
-    EXPECT_EQ(actual[c].workers_heard.count(), expected[c].workers_heard.count())
-        << label;
-    EXPECT_EQ(actual[c].workers_heard.mean(), expected[c].workers_heard.mean())
-        << label;
-    EXPECT_EQ(actual[c].workers_heard.min(), expected[c].workers_heard.min())
-        << label;
-    EXPECT_EQ(actual[c].workers_heard.max(), expected[c].workers_heard.max())
-        << label;
-    EXPECT_EQ(actual[c].units_received.mean(), expected[c].units_received.mean())
-        << label;
-    ASSERT_EQ(actual[c].iterations.size(), expected[c].iterations.size())
-        << label;
-    for (std::size_t t = 0; t < actual[c].iterations.size(); ++t) {
-      expect_reports_equal(actual[c].iterations[t], expected[c].iterations[t],
-                           label + " iteration " + std::to_string(t));
-    }
-  }
-}
-
-TEST(BatchedKernel, SingleCellDegeneratesToSimulateRun) {
-  stats::Rng rng(0xABCDEF);
-  core::SchemeConfig config;
-  config.num_workers = 32;
-  config.num_units = 32;
-  config.load = 4;
-  const auto scheme =
-      core::SchemeRegistry::instance().create("bcc", config, rng);
-  const ClusterConfig cluster = selection_cluster(0.05);
-
-  RunOptions options;
-  options.iterations = 40;
-  options.record_trace = false;
-
-  BatchedCell cell;
-  cell.scheme = scheme.get();
-  cell.config = &cluster;
-  cell.rng = rng;
-  cell.options = options;
-
-  const RunReport expected = simulate_run(*scheme, cluster, options, rng);
-  std::vector<BatchedCell> cells;
-  cells.push_back(cell);
-  const std::vector<RunReport> actual = BatchedKernel(std::move(cells)).run();
-  ASSERT_EQ(actual.size(), 1u);
-  EXPECT_EQ(actual[0].total_time, expected.total_time);
-  EXPECT_EQ(actual[0].failures, expected.failures);
-  EXPECT_EQ(actual[0].workers_heard.mean(), expected.workers_heard.mean());
 }
 
 }  // namespace

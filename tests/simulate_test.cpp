@@ -1,10 +1,9 @@
-// Tests for the discrete-event engine, the cluster iteration model, and
-// the EC2-scenario harness (the Fig. 4 / Table I-II shape).
+// Tests for the cluster iteration model and the EC2-scenario harness
+// (the Fig. 4 / Table I-II shape).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -16,95 +15,6 @@
 
 namespace coupon::simulate {
 namespace {
-
-// --- event queue -----------------------------------------------------------------
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, TiesBreakFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbacksCanScheduleMoreEvents) {
-  EventQueue q;
-  std::vector<double> times;
-  q.schedule(1.0, [&] {
-    times.push_back(q.now());
-    q.schedule_after(0.5, [&] { times.push_back(q.now()); });
-  });
-  q.run_all();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 1.5);
-}
-
-TEST(EventQueue, SchedulingIntoThePastAsserts) {
-  EventQueue q;
-  q.schedule(2.0, [] {});
-  q.run_all();
-  EXPECT_THROW(q.schedule(1.0, [] {}), coupon::AssertionError);
-}
-
-TEST(EventQueue, RunUntilStopsAtPredicate) {
-  EventQueue q;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    q.schedule(static_cast<double>(i), [&count] { ++count; });
-  }
-  q.run_until([&count] { return count >= 3; });
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(q.pending(), 7u);
-}
-
-TEST(EventQueue, RunNextOnEmptyReturnsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.run_next());
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, LargeCapturesFallBackToTheHeapAndStillRun) {
-  // InplaceCallback stores small lambdas inline; captures past the
-  // inline capacity take the heap path — behavior must be identical.
-  EventQueue q;
-  std::array<double, 32> big{};  // 256 bytes > kInlineCapacity
-  big[0] = 1.0;
-  big[31] = 2.0;
-  double sum = 0.0;
-  q.schedule(1.0, [big, &sum] { sum = big[0] + big[31]; });
-  static_assert(sizeof(big) > InplaceCallback::kInlineCapacity);
-  q.run_all();
-  EXPECT_DOUBLE_EQ(sum, 3.0);
-}
-
-TEST(EventQueue, InvokingAnEmptyCallbackAssertsLoudly) {
-  EventQueue q;
-  q.schedule(1.0, InplaceCallback{});
-  EXPECT_THROW(q.run_all(), coupon::AssertionError);
-}
-
-TEST(EventQueue, MoveOnlyCallbacksAreAccepted) {
-  EventQueue q;
-  auto payload = std::make_unique<int>(41);
-  int seen = 0;
-  q.schedule(1.0, [p = std::move(payload), &seen] { seen = *p + 1; });
-  q.run_all();
-  EXPECT_EQ(seen, 42);
-}
 
 // --- single iteration ---------------------------------------------------------------
 
