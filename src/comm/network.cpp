@@ -39,27 +39,6 @@ bool InProcNetwork::send(Message m) {
   return true;
 }
 
-std::optional<Message> InProcNetwork::recv(std::size_t rank) {
-  COUPON_ASSERT(rank < num_ranks());
-  auto m = mailboxes_[rank]->mailbox.pop();
-  if (m) {
-    mailboxes_[rank]->messages_received.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  return m;
-}
-
-std::optional<Message> InProcNetwork::recv_for(
-    std::size_t rank, std::chrono::milliseconds timeout) {
-  COUPON_ASSERT(rank < num_ranks());
-  auto m = mailboxes_[rank]->mailbox.pop_for(timeout);
-  if (m) {
-    mailboxes_[rank]->messages_received.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  return m;
-}
-
 PopStatus InProcNetwork::recv(std::size_t rank, Message& out) {
   COUPON_ASSERT(rank < num_ranks());
   const PopStatus status = mailboxes_[rank]->mailbox.pop(out);
@@ -80,16 +59,6 @@ PopStatus InProcNetwork::recv_for(std::size_t rank,
                                                   std::memory_order_relaxed);
   }
   return status;
-}
-
-std::optional<Message> InProcNetwork::try_recv(std::size_t rank) {
-  COUPON_ASSERT(rank < num_ranks());
-  auto m = mailboxes_[rank]->mailbox.try_pop();
-  if (m) {
-    mailboxes_[rank]->messages_received.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  return m;
 }
 
 void InProcNetwork::close_rank(std::size_t rank) {

@@ -30,7 +30,7 @@ struct TrafficStats {
 
 /// A fixed-size set of endpoints with reliable in-order unicast delivery.
 ///
-/// Thread safety: any thread may send to any rank; `recv`/`try_recv` for a
+/// Thread safety: any thread may send to any rank; `recv`/`recv_for` for a
 /// given rank should be called by that rank's owning thread (the usual MPI
 /// discipline).
 class InProcNetwork {
@@ -45,13 +45,6 @@ class InProcNetwork {
   /// if the destination mailbox is closed.
   bool send(Message m);
 
-  /// Blocking receive on `rank`'s mailbox; nullopt once closed and drained.
-  std::optional<Message> recv(std::size_t rank);
-
-  /// Receive with timeout; nullopt on timeout or closed.
-  std::optional<Message> recv_for(std::size_t rank,
-                                  std::chrono::milliseconds timeout);
-
   /// Blocking receive with a distinguishable outcome: kItem with `out`
   /// assigned, or kClosed once the mailbox is closed and drained.
   PopStatus recv(std::size_t rank, Message& out);
@@ -61,9 +54,6 @@ class InProcNetwork {
   /// open, kClosed once closed and drained.
   PopStatus recv_for(std::size_t rank, std::chrono::milliseconds timeout,
                      Message& out);
-
-  /// Non-blocking receive.
-  std::optional<Message> try_recv(std::size_t rank);
 
   /// Closes one mailbox (wakes its blocked receiver).
   void close_rank(std::size_t rank);

@@ -8,14 +8,12 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 
 namespace coupon::comm {
 
-/// Why a deadline pop returned without an item — or with one. Crash
-/// detection needs "the peer went away" (kClosed, terminal) to be
-/// distinguishable from "the peer is slow" (kTimeout, retryable); the
-/// optional-returning pops conflate the two.
+/// Why a pop returned without an item — or with one. Crash detection
+/// needs "the peer went away" (kClosed, terminal) to be distinguishable
+/// from "the peer is slow" (kTimeout, retryable).
 enum class PopStatus {
   kItem,     ///< an item was delivered
   kTimeout,  ///< the deadline passed with the queue open and empty
@@ -25,7 +23,7 @@ enum class PopStatus {
 /// Unbounded MPMC FIFO with blocking pop and close semantics.
 ///
 /// After `close()`, pushes are rejected and pops drain the remaining
-/// items, then return nullopt — the standard graceful-shutdown contract
+/// items, then report kClosed — the standard graceful-shutdown contract
 /// for worker loops.
 template <typename T>
 class BlockingQueue {
@@ -41,34 +39,6 @@ class BlockingQueue {
     }
     cv_.notify_one();
     return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Like pop() but gives up after `timeout`; nullopt on timeout or closed
-  /// and drained.
-  std::optional<T> pop_for(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout,
-                      [this] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
   }
 
   /// Blocking pop with a distinguishable outcome: kItem with `out`
@@ -89,17 +59,6 @@ class BlockingQueue {
       return PopStatus::kTimeout;
     }
     return take_locked(out);
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
   }
 
   /// Marks the queue closed and wakes all waiters.

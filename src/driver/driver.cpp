@@ -5,6 +5,7 @@
 
 #include "core/scheme_registry.hpp"
 #include "driver/runtime_registry.hpp"
+#include "driver/scenario_registry.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::driver {
@@ -23,12 +24,15 @@ ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s) {
 
 void add_experiment_flags(CliFlags& flags) {
   flags.add_string("scheme", "bcc",
-                   "gradient-coding scheme (" + scheme_choices() +
+                   "gradient-coding scheme (" +
+                       core::SchemeRegistry::instance().choices() +
                        "; 'auto' = let the analytic oracle pick)")
       .add_string("scenario", "shifted_exp",
-                  "straggler scenario (" + scenario_choices() + ")")
+                  "straggler scenario (" +
+                      ScenarioRegistry::instance().choices() + ")")
       .add_string("runtime", "sim",
-                  "execution substrate (" + runtime_choices() + ")")
+                  "execution substrate (" +
+                      RuntimeRegistry::instance().choices() + ")")
       .add_int("workers", 50, "number of workers n")
       .add_int("units", 50, "number of gradient units m")
       .add_int("load", 10, "computational load r, units per worker")
@@ -83,43 +87,7 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   }
 
   config.scenario = flags.get_string("scenario");
-  const auto* scenario =
-      ScenarioRegistry::instance().resolve(config.scenario);
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "%s\n",
-                 ScenarioRegistry::instance()
-                     .unknown_message(config.scenario)
-                     .c_str());
-    return std::nullopt;
-  }
-
   config.runtime = flags.get_string("runtime");
-  const RuntimeEntry* runtime =
-      RuntimeRegistry::instance().find(config.runtime);
-  if (runtime == nullptr) {
-    std::fprintf(stderr, "%s\n",
-                 RuntimeRegistry::instance()
-                     .unknown_message(config.runtime)
-                     .c_str());
-    return std::nullopt;
-  }
-  config.runtime = runtime->name;  // canonicalize aliases
-  // Capability-driven validation: ask what the runtime can do, not what
-  // it is called (out-of-tree runtimes get the same checks for free).
-  if (scenario->sim_only && !runtime->caps.honours_sim_only_scenarios) {
-    std::fprintf(stderr,
-                 "--scenario %s only varies simulator-side knobs; use "
-                 "--runtime sim\n",
-                 config.scenario.c_str());
-    return std::nullopt;
-  }
-  if (scenario->live_only && !runtime->caps.honours_elasticity) {
-    std::fprintf(stderr,
-                 "--scenario %s needs a live cluster (workers join/leave); "
-                 "use --runtime threaded or process\n",
-                 config.scenario.c_str());
-    return std::nullopt;
-  }
 
   const std::string policy = flags.get_string("on_failure");
   if (policy == "skip") {
@@ -169,33 +137,22 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   config.worker_timeout_ms = flags.get_int("worker_timeout_ms");
   const std::int64_t crash_worker = flags.get_int("crash_worker");
   if (crash_worker >= 0) {
-    if (!runtime->caps.spawns_processes) {
-      std::fprintf(stderr,
-                   "--crash_worker injects a real worker-process SIGKILL; "
-                   "the %s runtime has no processes to kill — use "
-                   "--runtime process\n",
-                   config.runtime.c_str());
-      return std::nullopt;
-    }
-    if (static_cast<std::size_t>(crash_worker) >= config.num_workers) {
-      std::fprintf(stderr, "--crash_worker %lld out of range (n = %zu)\n",
-                   static_cast<long long>(crash_worker), config.num_workers);
-      return std::nullopt;
-    }
     config.crash_worker = static_cast<std::size_t>(crash_worker);
   }
   config.crash_iteration =
       static_cast<std::size_t>(flags.get_int("crash_iteration"));
+
+  try {
+    config.runtime = check_runnable(config).name;  // canonicalize aliases
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return std::nullopt;
+  }
   return config;
 }
 
 RunRecord run_experiment(const ExperimentConfig& config) {
-  const auto runtime = make_runtime(config.runtime);
-  if (runtime == nullptr) {
-    throw std::invalid_argument(
-        RuntimeRegistry::instance().unknown_message(config.runtime));
-  }
-  return runtime->run(config);
+  return check_runnable(config).factory()->run(config);
 }
 
 AsciiTable summary_table(const std::vector<RunRecord>& records) {

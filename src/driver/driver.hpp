@@ -14,8 +14,8 @@
 
 #include "driver/experiment_config.hpp"
 #include "driver/record.hpp"
-#include "driver/registry.hpp"
 #include "driver/runtime.hpp"
+#include "driver/scenario_registry.hpp"
 #include "simulate/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -39,12 +39,13 @@ void add_experiment_flags(CliFlags& flags);
 
 /// Reads the flags registered by `add_experiment_flags` back into a
 /// config. Prints a diagnostic and returns nullopt on an unknown scheme,
-/// scenario, runtime, or failure-policy spelling.
+/// failure-policy, objective, or optimizer spelling, or on any config
+/// `check_runnable` (runtime_registry.hpp) rejects.
 std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 
 /// Runs one (scheme, scenario, runtime) cell through the named runtime.
 /// Throws std::invalid_argument on an unknown name (the message lists
-/// the registered choices).
+/// the registered choices) or a config `check_runnable` rejects.
 RunRecord run_experiment(const ExperimentConfig& config);
 
 /// Renders records as the standard Table I/II breakdown (scheme,

@@ -1,6 +1,5 @@
 #include "driver/runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -8,7 +7,6 @@
 #include "core/scheme_registry.hpp"
 #include "data/batching.hpp"
 #include "data/synthetic.hpp"
-#include "driver/runtime_registry.hpp"
 #include "driver/scenario_registry.hpp"
 #include "engine/simulated_provider.hpp"
 #include "engine/training_engine.hpp"
@@ -164,16 +162,55 @@ void fill_convergence_fields(const engine::TrainReport& report,
   }
 }
 
-/// Rejects the process-only crash drill on runtimes whose workers are
-/// not OS processes.
-void reject_crash_drill(const ExperimentConfig& config,
-                        std::string_view runtime_name) {
-  if (config.crash_worker) {
-    throw std::invalid_argument(
-        "crash_worker injects a real worker-process SIGKILL; the " +
-        std::string(runtime_name) +
-        " runtime has no processes to kill — use --runtime process");
+/// The live runtimes' one body. Data first, then the scheme — the same
+/// draw order as the simulated runtime's training mode — so rng(seed)
+/// names the same problem and scheme on every substrate, and an
+/// undisturbed process run's final loss matches the threaded run's
+/// bit-for-bit (for schemes with arrival-order-independent decodes).
+RunRecord run_live(const ExperimentConfig& config,
+                   std::string_view runtime_name, bool spawn_processes) {
+  const Scenario scenario = ScenarioRegistry::instance().build(
+      config.scenario, config.num_workers);
+  RunRecord record = identity_record(config, runtime_name);
+
+  stats::Rng rng(config.seed);
+  TrainingWorkload workload;
+  build_workload(config, rng, workload);
+  // Seeded first batches (by default) guarantee per-iteration BCC
+  // coverage, matching the quickstart's real-training setup.
+  auto scheme = core::SchemeRegistry::instance().create(
+      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
+      rng);
+  record.scheme_display = std::string(scheme->name());
+  auto optimizer = make_optimizer(config);
+
+  runtime::ProcessTrainOptions options;
+  static_cast<engine::TrainOptions&>(options) =
+      engine_options(config, workload);
+  options.straggler = scenario.straggler;
+  options.elasticity = scenario.elasticity;
+  engine::TrainReport report;
+  if (spawn_processes) {
+    options.worker_timeout =
+        std::chrono::milliseconds(config.worker_timeout_ms);
+    if (config.crash_worker) {
+      options.crash = runtime::CrashPlan{.worker = *config.crash_worker,
+                                         .iteration = config.crash_iteration};
+    }
+    runtime::ProcessCluster cluster(*scheme, *workload.source,
+                                    config.seed + 42);
+    runtime::ProcessTrainResult result = cluster.train(*optimizer, options);
+    report = std::move(result.report);
+    record.workers_lost = result.workers_lost;
+  } else {
+    runtime::ThreadCluster cluster(*scheme, *workload.source,
+                                   config.seed + 42);
+    report = cluster.train(*optimizer, options);
   }
+
+  fill_convergence_fields(report, workload, record);
+  record.loss_history = std::move(report.loss_history);
+  return record;
 }
 
 }  // namespace
@@ -181,13 +218,6 @@ void reject_crash_drill(const ExperimentConfig& config,
 RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
-  if (scenario.live_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' needs a live cluster (workers join/leave); use --runtime "
-        "threaded or process");
-  }
-  reject_crash_drill(config, name());
   RunRecord record = identity_record(config, name());
 
   // The footgun fix: a caller-supplied cluster model (e.g. from
@@ -246,117 +276,11 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
 }
 
 RunRecord ThreadedRuntime::run(const ExperimentConfig& config) const {
-  const Scenario scenario = ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  if (scenario.sim_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' only varies simulator-side knobs; use --runtime sim");
-  }
-  if (config.cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster; the threaded "
-        "runtime cannot honour it — use the sim runtime");
-  }
-  reject_crash_drill(config, name());
-  RunRecord record = identity_record(config, name());
-
-  stats::Rng rng(config.seed);
-  TrainingWorkload workload;
-  build_workload(config, rng, workload);
-
-  // Seeded first batches (by default) guarantee per-iteration BCC
-  // coverage, matching the quickstart's real-training setup.
-  auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
-      rng);
-  record.scheme_display = std::string(scheme->name());
-
-  runtime::ThreadCluster cluster(*scheme, *workload.source, config.seed + 42);
-  auto optimizer = make_optimizer(config);
-
-  runtime::TrainOptions options;
-  static_cast<engine::TrainOptions&>(options) =
-      engine_options(config, workload);
-  options.straggler = scenario.straggler;
-  options.elasticity = scenario.elasticity;
-
-  engine::TrainReport report = cluster.train(*optimizer, options);
-
-  fill_convergence_fields(report, workload, record);
-  record.loss_history = std::move(report.loss_history);
-  return record;
+  return run_live(config, name(), /*spawn_processes=*/false);
 }
 
 RunRecord ProcessRuntime::run(const ExperimentConfig& config) const {
-  const Scenario scenario = ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  if (scenario.sim_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' only varies simulator-side knobs; use --runtime sim");
-  }
-  if (config.cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster; the process "
-        "runtime cannot honour it — use the sim runtime");
-  }
-  if (!runtime::ProcessCluster::supported()) {
-    throw std::runtime_error(
-        "the process runtime needs fork() and stream sockets (loopback "
-        "TCP or AF_UNIX socketpair), unavailable in this sandbox — use "
-        "--runtime threaded");
-  }
-  RunRecord record = identity_record(config, name());
-
-  // Same draw order as the threaded runtime — rng(seed) names the same
-  // problem and scheme on both live substrates, so an undisturbed run's
-  // final loss matches the threaded runtime's bit-for-bit (for schemes
-  // with arrival-order-independent decodes).
-  stats::Rng rng(config.seed);
-  TrainingWorkload workload;
-  build_workload(config, rng, workload);
-  auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
-      rng);
-  record.scheme_display = std::string(scheme->name());
-
-  runtime::ProcessCluster cluster(*scheme, *workload.source,
-                                  config.seed + 42);
-  auto optimizer = make_optimizer(config);
-
-  runtime::ProcessTrainOptions options;
-  static_cast<engine::TrainOptions&>(options) =
-      engine_options(config, workload);
-  options.straggler = scenario.straggler;
-  options.elasticity = scenario.elasticity;
-  options.worker_timeout =
-      std::chrono::milliseconds(std::max<std::int64_t>(0, config.worker_timeout_ms));
-  if (config.crash_worker) {
-    if (*config.crash_worker >= config.num_workers) {
-      throw std::invalid_argument("crash_worker out of range (n = " +
-                                  std::to_string(config.num_workers) + ")");
-    }
-    options.crash = runtime::CrashPlan{.worker = *config.crash_worker,
-                                       .iteration = config.crash_iteration};
-  }
-
-  runtime::ProcessTrainResult result = cluster.train(*optimizer, options);
-
-  fill_convergence_fields(result.report, workload, record);
-  record.loss_history = std::move(result.report.loss_history);
-  record.workers_lost = result.workers_lost;
-  return record;
-}
-
-std::unique_ptr<Runtime> make_runtime(std::string_view name) {
-  return RuntimeRegistry::instance().create(name);
-}
-
-const std::vector<std::string>& runtime_names() {
-  static const std::vector<std::string> names =
-      RuntimeRegistry::instance().names();
-  return names;
+  return run_live(config, name(), /*spawn_processes=*/true);
 }
 
 }  // namespace coupon::driver

@@ -12,10 +12,7 @@
 /// backend is one more subclass plus a `RuntimeRegistration` — callers
 /// never branch on a runtime enum or name.
 
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "driver/experiment_config.hpp"
 #include "driver/record.hpp"
@@ -30,10 +27,10 @@ class Runtime {
   /// Canonical runtime name stamped into records ("sim", "threaded").
   virtual std::string_view name() const = 0;
 
-  /// Runs one (scheme, scenario) cell. Throws std::invalid_argument on an
-  /// unknown scheme/scenario name or a scenario/config this runtime
-  /// cannot express (sim-only scenario or cluster_override under the
-  /// threaded runtime).
+  /// Runs one (scheme, scenario) cell. Expects a config that passed
+  /// `check_runnable` (runtime_registry.hpp), which `run_experiment`
+  /// calls first. Throws std::invalid_argument on an unknown scheme or
+  /// scenario name.
   virtual RunRecord run(const ExperimentConfig& config) const = 0;
 };
 
@@ -63,13 +60,5 @@ class ProcessRuntime final : public Runtime {
   std::string_view name() const override { return "process"; }
   RunRecord run(const ExperimentConfig& config) const override;
 };
-
-/// Builds the named runtime via RuntimeRegistry ("sim"/"simulated"/
-/// "simulate", "threaded"/"thread"/"threads", "process"/"processes"/
-/// "proc"); nullptr for an unknown name.
-std::unique_ptr<Runtime> make_runtime(std::string_view name);
-
-/// Canonical runtime names, in presentation order.
-const std::vector<std::string>& runtime_names();
 
 }  // namespace coupon::driver

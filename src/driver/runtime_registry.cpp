@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "driver/scenario_registry.hpp"
 #include "util/names.hpp"
 
 namespace coupon::driver {
@@ -96,6 +97,58 @@ std::string RuntimeRegistry::choices() const { return join_names(names()); }
 
 std::string RuntimeRegistry::unknown_message(std::string_view name) const {
   return unknown_name_message("runtime", name, names());
+}
+
+const RuntimeEntry& check_runnable(const ExperimentConfig& config) {
+  const RuntimeEntry* runtime =
+      RuntimeRegistry::instance().find(config.runtime);
+  if (runtime == nullptr) {
+    throw std::invalid_argument(
+        RuntimeRegistry::instance().unknown_message(config.runtime));
+  }
+  const ScenarioEntry* scenario =
+      ScenarioRegistry::instance().resolve(config.scenario);
+  if (scenario == nullptr) {
+    throw std::invalid_argument(
+        ScenarioRegistry::instance().unknown_message(config.scenario));
+  }
+  const RuntimeCapabilities& caps = runtime->caps;
+  const std::string the_runtime = "; the " + runtime->name + " runtime ";
+  if (scenario->sim_only && !caps.honours_sim_only_scenarios) {
+    throw std::invalid_argument(
+        "scenario '" + config.scenario +
+        "' only varies simulator-side knobs" + the_runtime +
+        "cannot express them — use --runtime sim");
+  }
+  if (scenario->live_only && !caps.honours_elasticity) {
+    throw std::invalid_argument(
+        "scenario '" + config.scenario +
+        "' needs a live cluster (workers join/leave)" + the_runtime +
+        "cannot run it — use --runtime threaded or process");
+  }
+  if (config.cluster_override && !caps.honours_cluster_override) {
+    throw std::invalid_argument(
+        "cluster_override describes the simulated cluster" + the_runtime +
+        "cannot honour it — use --runtime sim");
+  }
+  if (config.crash_worker) {
+    if (!caps.spawns_processes) {
+      throw std::invalid_argument(
+          "crash_worker injects a real worker-process SIGKILL" + the_runtime +
+          "has no processes to kill — use --runtime process");
+    }
+    if (*config.crash_worker >= config.num_workers) {
+      throw std::invalid_argument(
+          "crash_worker " + std::to_string(*config.crash_worker) +
+          " out of range (n = " + std::to_string(config.num_workers) + ")");
+    }
+  }
+  if (config.worker_timeout_ms < 0) {
+    throw std::invalid_argument(
+        "worker_timeout_ms must be >= 0 (0 = wait forever), got " +
+        std::to_string(config.worker_timeout_ms));
+  }
+  return *runtime;
 }
 
 }  // namespace coupon::driver

@@ -8,10 +8,10 @@
 /// sweep planner, and tools select runtimes by name through this
 /// registry, so adding an execution substrate is one
 /// `RuntimeRegistration` call in the new runtime's translation unit — no
-/// if/else ladder, enum, or name-table edits. The capability flags
-/// replace the `name() == "threaded"` string checks that used to gate
-/// sweep planning and config validation: callers ask what a runtime can
-/// do, not what it is called.
+/// if/else ladder, enum, or name-table edits. The capability flags are
+/// read in one place, `check_runnable`, which CLI parsing, sweep
+/// planning and `run_experiment` all call: callers ask what a runtime
+/// can do, not what it is called.
 ///
 /// Registration discipline mirrors core::SchemeRegistry: register at
 /// static-initialization time (via `RuntimeRegistration`) or during
@@ -77,9 +77,8 @@ class RuntimeRegistry {
   /// returned pointer stays valid for the process lifetime.
   const RuntimeEntry* find(std::string_view name_or_alias) const;
 
-  /// Builds the named runtime; nullptr for an unknown name (the
-  /// long-standing make_runtime contract — callers print
-  /// `unknown_message` themselves).
+  /// Builds the named runtime; nullptr for an unknown name (callers
+  /// print `unknown_message` themselves).
   std::unique_ptr<Runtime> create(std::string_view name_or_alias) const;
 
   /// Canonical names in registration order.
@@ -97,6 +96,16 @@ class RuntimeRegistry {
 
   std::vector<RuntimeEntry> entries_;  // stable: entries are never removed
 };
+
+/// The runtime capability rules, in one place: throws
+/// std::invalid_argument when `config.runtime` cannot run `config`.
+/// Rejects an unknown runtime or scenario name, a sim-only or live-only
+/// scenario the runtime cannot honour, a cluster_override it cannot
+/// honour, a crash_worker on a runtime without processes or outside
+/// [0, num_workers), and a negative worker_timeout_ms. Returns the
+/// runtime's entry. `config_from_flags`, `expand_plan` (per cell) and
+/// `run_experiment` all call it; `Runtime::run` assumes it passed.
+const RuntimeEntry& check_runnable(const ExperimentConfig& config);
 
 /// Self-registration helper: a namespace-scope
 ///   static const driver::RuntimeRegistration my_runtime{{.name = ...}};

@@ -11,7 +11,6 @@
 #include "core/scheme_registry.hpp"
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
-#include "driver/scenario_registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coupon::driver {
@@ -33,57 +32,15 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
   const auto iterations = axis_or(plan.iterations, plan.base.iterations);
   const auto seeds = axis_or(plan.seeds, plan.base.seed);
 
-  // Fail on any bad name before running a single cell.
+  // Fail on any bad scheme name before running a single cell; every cell
+  // then passes the schemes' structural requirements and check_runnable,
+  // so a sweep cannot burn half its cells before discovering a bad
+  // combination.
   const auto& scheme_registry = core::SchemeRegistry::instance();
   for (const auto& scheme : schemes) {
     if (scheme_registry.find(scheme) == nullptr) {
       throw std::invalid_argument(scheme_registry.unknown_message(scheme));
     }
-  }
-  const auto& scenario_registry = ScenarioRegistry::instance();
-  for (const auto& scenario : scenarios) {
-    if (scenario_registry.resolve(scenario) == nullptr) {
-      throw std::invalid_argument(
-          scenario_registry.unknown_message(scenario));
-    }
-  }
-  const RuntimeEntry* runtime =
-      RuntimeRegistry::instance().find(plan.base.runtime);
-  if (runtime == nullptr) {
-    throw std::invalid_argument(
-        RuntimeRegistry::instance().unknown_message(plan.base.runtime));
-  }
-
-  // ... and on any cell the selected runtime or a scheme's structural
-  // requirements would reject at run time, so a sweep cannot burn half
-  // its cells before discovering a bad combination. Capability-driven:
-  // the planner asks what the runtime can do, never what it is called.
-  for (const auto& scenario : scenarios) {
-    if (scenario_registry.resolve(scenario)->sim_only &&
-        !runtime->caps.honours_sim_only_scenarios) {
-      throw std::invalid_argument(
-          "scenario '" + scenario +
-          "' only varies simulator-side knobs; use the sim runtime");
-    }
-    if (scenario_registry.resolve(scenario)->live_only &&
-        !runtime->caps.honours_elasticity) {
-      throw std::invalid_argument(
-          "scenario '" + scenario +
-          "' needs a live cluster (workers join/leave); use the threaded "
-          "or process runtime");
-    }
-  }
-  if (plan.base.cluster_override && !runtime->caps.honours_cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster; the " +
-        std::string(runtime->name) +
-        " runtime cannot honour it — use the sim runtime");
-  }
-  if (plan.base.crash_worker && !runtime->caps.spawns_processes) {
-    throw std::invalid_argument(
-        "crash_worker injects a real worker-process SIGKILL; the " +
-        std::string(runtime->name) +
-        " runtime has no processes to kill — use the process runtime");
   }
   auto check_caps = [&](const std::string& scheme, std::size_t n,
                         std::size_t m, std::size_t r) {
@@ -124,6 +81,7 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
                 cell.config.load = r;
                 cell.config.iterations = iters;
                 cell.config.seed = seed;
+                check_runnable(cell.config);
                 cells.push_back(std::move(cell));
               }
             }

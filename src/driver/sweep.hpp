@@ -62,11 +62,11 @@ struct SweepCell {
 
 /// Expands the plan into cells. Axis nesting, outermost to innermost:
 /// scheme, scenario, workers, units, load, iterations, seed. Validates
-/// up front — unknown scheme/scenario/runtime names (the diagnostic
-/// lists the registered choices), scheme capability violations
-/// (m != n for CR/FR, r not dividing n for FR), and sim-only scenarios
-/// or a cluster_override under the threaded runtime — and throws
-/// std::invalid_argument, so a sweep cannot fail halfway through.
+/// up front — unknown scheme names (the diagnostic lists the registered
+/// choices), scheme capability violations (m != n for CR/FR, r not
+/// dividing n for FR), and every cell through `check_runnable`
+/// (runtime_registry.hpp), which also sees each cell's own n — and
+/// throws std::invalid_argument, so a sweep cannot fail halfway through.
 std::vector<SweepCell> expand_plan(const SweepPlan& plan);
 
 struct SweepOptions {

@@ -8,13 +8,11 @@
 #include <csignal>
 #include <ctime>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "comm/tcp_transport.hpp"
 #include "runtime/transport_provider.hpp"
-#include "stats/distributions.hpp"
-#include "stats/rng.hpp"
+#include "runtime/worker.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::runtime {
@@ -72,9 +70,10 @@ void reap_with_deadline(std::vector<pid_t>& pids) {
   kill_and_reap(pids);
 }
 
-/// The worker-process body: the thread worker_loop's twin over a socket.
-/// Runs in the forked child, which inherited `scheme` and `source` from
-/// the master's memory image; never returns.
+/// The worker-process body: the rank handshake, the shared worker loop,
+/// and the process exit each way the loop can end. Runs in the forked
+/// child, which inherited `scheme` and `source` from the master's memory
+/// image; never returns.
 [[noreturn]] void worker_process_main(const core::Scheme& scheme,
                                       const core::UnitGradientSource& source,
                                       std::size_t worker_index,
@@ -95,45 +94,23 @@ void reap_with_deadline(std::vector<pid_t>& pids) {
       ::_exit(1);
     }
   }
-  stats::Rng rng(seed);
-  comm::Message reply;  // hoisted: encode_into reuses capacity per loop
-  for (;;) {
-    comm::RecvEvent event = transport->recv();
-    if (event.status != comm::RecvStatus::kMessage ||
-        event.message.tag == comm::kTagShutdown) {
+  std::optional<std::size_t> crash_at;
+  if (options.crash && options.crash->worker == worker_index) {
+    crash_at = options.crash->iteration;
+  }
+  switch (serve_worker(*transport, scheme, source, worker_index,
+                       options.straggler, seed, crash_at)) {
+    case WorkerExit::kShutdown:
       ::_exit(0);  // orderly shutdown, or the master is gone (EOF)
-    }
-    if (event.message.tag != comm::kTagModelBroadcast) {
+    case WorkerExit::kBadMessage:
       ::_exit(1);  // protocol violation; die visibly (master sees EOF)
-    }
-    if (options.crash && options.crash->worker == worker_index &&
-        event.message.iteration ==
-            static_cast<std::int64_t>(options.crash->iteration)) {
+    case WorkerExit::kStopped:
       // The crash drill: a real SIGKILL mid-iteration — the broadcast
       // was consumed, the reply will never be sent, the kernel closes
       // the socket.
       ::kill(::getpid(), SIGKILL);
-    }
-
-    scheme.encode_into(worker_index, source, event.message.payload, reply);
-    reply.tag = comm::kTagGradient;
-    reply.dest = 0;
-    reply.iteration = event.message.iteration;
-
-    if (options.straggler.enabled) {
-      const auto load =
-          static_cast<double>(scheme.placement().worker(worker_index).size());
-      if (load > 0.0) {
-        const auto dist = stats::ShiftedExponential::for_load(
-            options.straggler.shift_ms_per_unit, options.straggler.straggle,
-            load);
-        const double delay_ms = dist.sample(rng);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-      }
-    }
-    transport->send(std::move(reply));
   }
+  ::_exit(1);
 }
 
 }  // namespace
@@ -173,14 +150,7 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
   }
   const std::size_t n = scheme_.num_workers();
 
-  // Same per-worker seed derivation as ThreadCluster, so the injected
-  // delays of a given (seed, worker) pair agree across the two live
-  // runtimes.
-  stats::Rng seeder(straggler_seed_);
-  std::vector<std::uint64_t> seeds(n);
-  for (auto& seed : seeds) {
-    seed = seeder.next_u64();
-  }
+  const std::vector<std::uint64_t> seeds = worker_seeds(straggler_seed_, n);
 
   // Preferred wiring: loopback TCP through an ephemeral-port listener.
   // Sandboxes that forbid it fall back to AF_UNIX socketpairs created

@@ -7,7 +7,8 @@
 /// one OS process per scheme worker, connects each over a loopback TCP
 /// stream (or an AF_UNIX socketpair where the sandbox forbids TCP), and
 /// runs the shared `engine::TrainingEngine` protocol through the shared
-/// `TransportProvider` over a `TcpTransport` endpoint. Workers inherit
+/// `TransportProvider` over a `TcpTransport` endpoint; each child runs
+/// the shared `serve_worker` loop (runtime/worker.hpp). Workers inherit
 /// the scheme and dataset by fork — the master's memory image is the
 /// "shared filesystem"; only models and gradients cross the wire, as in
 /// the paper's MPI setup.
@@ -28,8 +29,7 @@
 #include "core/scheme.hpp"
 #include "engine/training_engine.hpp"
 #include "opt/optimizer.hpp"
-#include "runtime/elasticity.hpp"
-#include "runtime/straggler.hpp"
+#include "runtime/thread_cluster.hpp"  // TrainOptions
 
 namespace coupon::runtime {
 
@@ -42,12 +42,10 @@ struct CrashPlan {
   std::size_t iteration = 0;
 };
 
-/// Training-run parameters: the engine's master-side options plus the
-/// process runtime's delay injection, join/leave schedule, crash drill,
-/// and hang backstop.
-struct ProcessTrainOptions : engine::TrainOptions {
-  StragglerInjection straggler;
-  ElasticityPlan elasticity;
+/// Training-run parameters: the live-cluster options (master-side
+/// protocol, delay injection, join/leave schedule) plus the process
+/// runtime's hang backstop and crash drill.
+struct ProcessTrainOptions : TrainOptions {
   /// Master-side wait deadline per arrival before the iteration's
   /// outstanding replies are abandoned (see TransportProvider::Options).
   std::chrono::milliseconds worker_timeout{10000};

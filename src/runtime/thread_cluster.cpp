@@ -1,11 +1,14 @@
 #include "runtime/thread_cluster.hpp"
 
 #include <chrono>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "comm/network.hpp"
 #include "comm/transport.hpp"
 #include "runtime/transport_provider.hpp"
-#include "stats/distributions.hpp"
-#include "stats/rng.hpp"
+#include "runtime/worker.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::runtime {
@@ -14,83 +17,63 @@ namespace {
 
 constexpr std::size_t kMasterRank = 0;
 
+/// One run's worker threads. Closing the network ends each worker's loop
+/// (kClosed, the in-process EOF) once its mailbox drains, so the
+/// destructor can join on every exit path, exceptions included.
+class WorkerThreads {
+ public:
+  explicit WorkerThreads(comm::InProcNetwork& network) : network_(network) {}
+  WorkerThreads(const WorkerThreads&) = delete;
+  WorkerThreads& operator=(const WorkerThreads&) = delete;
+
+  ~WorkerThreads() {
+    network_.close_all();
+    for (auto& thread : threads_) {
+      thread.join();
+    }
+  }
+
+  template <typename Body>
+  void start(Body&& body) {
+    threads_.emplace_back(std::forward<Body>(body));
+  }
+
+ private:
+  comm::InProcNetwork& network_;
+  std::vector<std::thread> threads_;
+};
+
 }  // namespace
 
 ThreadCluster::ThreadCluster(const core::Scheme& scheme,
                              const core::UnitGradientSource& source,
                              std::uint64_t straggler_seed)
-    : scheme_(scheme),
-      source_(source),
-      network_(scheme.num_workers() + 1) {
+    : scheme_(scheme), source_(source), straggler_seed_(straggler_seed) {
   COUPON_ASSERT(source.num_units() == scheme.num_units());
-  stats::Rng seeder(straggler_seed);
-  threads_.reserve(scheme.num_workers());
-  for (std::size_t i = 0; i < scheme.num_workers(); ++i) {
-    const std::uint64_t seed = seeder.next_u64();
-    threads_.emplace_back([this, i, seed] { worker_loop(i, seed); });
-  }
-}
-
-ThreadCluster::~ThreadCluster() {
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    comm::Message bye;
-    bye.source = kMasterRank;
-    bye.dest = static_cast<std::int32_t>(i + 1);
-    bye.tag = comm::kTagShutdown;
-    network_.send(std::move(bye));
-  }
-  for (auto& t : threads_) {
-    t.join();
-  }
-  network_.close_all();
-}
-
-void ThreadCluster::worker_loop(std::size_t worker_index,
-                                std::uint64_t seed) {
-  const std::size_t rank = worker_index + 1;
-  stats::Rng rng(seed);
-  // Hoisted reply buffer: encode_into reuses its meta/payload capacity
-  // across iterations (the move-send empties but the next assign refills
-  // without growing past the first iteration's high-water mark).
-  comm::Message reply;
-  for (;;) {
-    auto msg = network_.recv(rank);
-    if (!msg || msg->tag == comm::kTagShutdown) {
-      return;
-    }
-    COUPON_ASSERT(msg->tag == comm::kTagModelBroadcast);
-
-    scheme_.encode_into(worker_index, source_, msg->payload, reply);
-    reply.tag = comm::kTagGradient;
-    reply.source = static_cast<std::int32_t>(rank);
-    reply.dest = kMasterRank;
-    reply.iteration = msg->iteration;
-
-    if (straggler_.enabled) {
-      const auto load =
-          static_cast<double>(scheme_.placement().worker(worker_index).size());
-      if (load > 0.0) {
-        const auto dist = stats::ShiftedExponential::for_load(
-            straggler_.shift_ms_per_unit, straggler_.straggle, load);
-        const double delay_ms = dist.sample(rng);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-      }
-    }
-    network_.send(std::move(reply));
-  }
 }
 
 engine::TrainReport ThreadCluster::train(opt::IterativeOptimizer& optimizer,
                                          const TrainOptions& options) {
-  straggler_ = options.straggler;
+  const std::size_t n = scheme_.num_workers();
+  const std::vector<std::uint64_t> seeds = worker_seeds(straggler_seed_, n);
+  comm::InProcNetwork network(n + 1);
+  WorkerThreads workers(network);
+  for (std::size_t i = 0; i < n; ++i) {
+    workers.start([this, &network, &options, &seeds, i] {
+      comm::InProcessTransport endpoint(network, i + 1);
+      // In-process, only the master sends to a worker and it sends only
+      // broadcasts, so the loop always ends in kShutdown.
+      serve_worker(endpoint, scheme_, source_, i, options.straggler,
+                   seeds[i]);
+    });
+  }
 
   // The shared master protocol over an in-process endpoint: identical
   // broadcast/collect/stale-skip semantics to the socket runtime, with
   // no worker_timeout — in-process threads always reply.
-  comm::InProcessTransport master(network_, kMasterRank);
+  comm::InProcessTransport master(network, kMasterRank);
   TransportProvider provider(
-      master, scheme_.num_workers(),
+      master, n,
       {.worker_timeout = std::chrono::milliseconds(0),
        .elasticity = options.elasticity});
   engine::TrainingEngine protocol(scheme_, source_, provider);

@@ -9,20 +9,16 @@
 /// message on its locally "stored" data and ships it back, with optional
 /// injected straggler delays standing in for t2.micro latency variance.
 ///
-/// The master-side iteration protocol itself (broadcast → collect →
-/// failure policy → optimizer step → loss tracking) lives in the shared
-/// `engine::TrainingEngine` (engine/training_engine.hpp), driven through
-/// the shared `TransportProvider` over an `InProcessTransport` endpoint;
-/// this class is only the worker-compute loop under them. The simulated
-/// provider (engine/simulated_provider.hpp) runs the identical protocol
-/// over simulated time, and the multi-process cluster
-/// (runtime/process_cluster.hpp) runs it over real sockets.
+/// Both halves of the protocol are shared with the multi-process cluster
+/// (runtime/process_cluster.hpp): the master side is the
+/// `engine::TrainingEngine` driven through `TransportProvider`, the
+/// worker side is `serve_worker` (runtime/worker.hpp), here both over
+/// `InProcessTransport` endpoints of one in-process network. The
+/// simulated provider (engine/simulated_provider.hpp) runs the identical
+/// master protocol over simulated time.
 
 #include <cstdint>
-#include <thread>
-#include <vector>
 
-#include "comm/network.hpp"
 #include "core/gradient_source.hpp"
 #include "core/scheme.hpp"
 #include "engine/training_engine.hpp"
@@ -34,49 +30,42 @@ namespace coupon::runtime {
 
 using engine::FailurePolicy;
 
-/// Training-run parameters: the engine's master-side options (inherited
-/// verbatim — iterations, on_failure, loss tracking) plus the threaded
-/// runtime's worker-delay injection and join/leave schedule.
+/// Training-run parameters of a live cluster: the engine's master-side
+/// options (inherited verbatim — iterations, on_failure, loss tracking)
+/// plus the worker-delay injection and join/leave schedule.
 struct TrainOptions : engine::TrainOptions {
   StragglerInjection straggler;
   /// Planned worker absences: the master skips broadcasting to a worker
-  /// in its leave window; the idle worker thread simply blocks on recv.
+  /// in its leave window; the idle worker simply blocks on recv.
   ElasticityPlan elasticity;
 };
 
 /// A master plus `n` worker threads bound to one scheme and one dataset.
-///
-/// The scheme, gradient source, and network outlive every iteration; the
-/// class is single-use-at-a-time: call `train` from one thread.
+/// Threads are started per `train()` call and joined before it returns,
+/// so the cluster holds nothing a running worker reads.
 class ThreadCluster {
  public:
-  /// Spawns `scheme.num_workers()` worker threads. `source` must remain
-  /// valid for the cluster's lifetime.
+  /// `scheme` and `source` must remain valid for the cluster's lifetime.
   ThreadCluster(const core::Scheme& scheme,
                 const core::UnitGradientSource& source,
                 std::uint64_t straggler_seed = 42);
 
-  /// Joins all workers.
-  ~ThreadCluster();
-
   ThreadCluster(const ThreadCluster&) = delete;
   ThreadCluster& operator=(const ThreadCluster&) = delete;
 
-  /// Runs synchronous distributed GD for `options.iterations` iterations,
-  /// driving `optimizer` (master-side). On a coverage failure (possible
-  /// for BCC with small n) the iteration is resolved per
-  /// `options.on_failure`. `TrainReport::elapsed_seconds` is wall-clock.
+  /// Starts one worker thread per scheme worker and runs synchronous
+  /// distributed GD for `options.iterations` iterations, driving
+  /// `optimizer` (master-side). On a coverage failure (possible for BCC
+  /// with small n) the iteration is resolved per `options.on_failure`.
+  /// `TrainReport::elapsed_seconds` is wall-clock. Every worker is joined
+  /// before returning, on exceptions too.
   engine::TrainReport train(opt::IterativeOptimizer& optimizer,
                             const TrainOptions& options);
 
  private:
-  void worker_loop(std::size_t worker_index, std::uint64_t seed);
-
   const core::Scheme& scheme_;
   const core::UnitGradientSource& source_;
-  comm::InProcNetwork network_;
-  std::vector<std::thread> threads_;
-  StragglerInjection straggler_;  // read by workers during train()
+  std::uint64_t straggler_seed_;
 };
 
 }  // namespace coupon::runtime

@@ -114,20 +114,18 @@ TEST(BlockingQueue, FifoOrder) {
   q.push(1);
   q.push(2);
   q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BlockingQueue, TryPopOnEmptyReturnsNullopt) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
+  for (int expected = 1; expected <= 3; ++expected) {
+    int out = 0;
+    ASSERT_EQ(q.pop(out), PopStatus::kItem);
+    EXPECT_EQ(out, expected);
+  }
 }
 
 TEST(BlockingQueue, PopForTimesOut) {
   BlockingQueue<int> q;
-  const auto result = q.pop_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(result.has_value());
+  int out = 0;
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
+            PopStatus::kTimeout);
 }
 
 TEST(BlockingQueue, CloseRejectsPushAndDrains) {
@@ -135,8 +133,10 @@ TEST(BlockingQueue, CloseRejectsPushAndDrains) {
   q.push(7);
   q.close();
   EXPECT_FALSE(q.push(8));
-  EXPECT_EQ(q.pop().value(), 7);  // drains existing items
-  EXPECT_FALSE(q.pop().has_value());
+  int out = 0;
+  ASSERT_EQ(q.pop(out), PopStatus::kItem);  // drains existing items
+  EXPECT_EQ(out, 7);
+  EXPECT_EQ(q.pop(out), PopStatus::kClosed);
   EXPECT_TRUE(q.closed());
 }
 
@@ -144,7 +144,8 @@ TEST(BlockingQueue, CloseWakesBlockedConsumer) {
   BlockingQueue<int> q;
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
-    EXPECT_FALSE(q.pop().has_value());
+    int out = 0;
+    EXPECT_EQ(q.pop(out), PopStatus::kClosed);
     woke = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -163,8 +164,9 @@ TEST(BlockingQueue, ConcurrentProducersConsumersConserveItems) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 3; ++c) {
     consumers.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum += *v;
+      int v = 0;
+      while (q.pop(v) == PopStatus::kItem) {
+        sum += v;
         ++received;
       }
     });
@@ -201,9 +203,9 @@ TEST(InProcNetwork, DeliversToDestination) {
   m.source = 1;
   m.dest = 2;
   ASSERT_TRUE(net.send(m));
-  const auto got = net.recv(2);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, m);
+  Message got;
+  ASSERT_EQ(net.recv(2, got), PopStatus::kItem);
+  EXPECT_EQ(got, m);
 }
 
 TEST(InProcNetwork, InOrderDeliveryPerSender) {
@@ -216,18 +218,17 @@ TEST(InProcNetwork, InOrderDeliveryPerSender) {
     net.send(std::move(m));
   }
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(net.recv(1)->iteration, i);
+    Message got;
+    ASSERT_EQ(net.recv(1, got), PopStatus::kItem);
+    EXPECT_EQ(got.iteration, i);
   }
-}
-
-TEST(InProcNetwork, TryRecvEmptyMailbox) {
-  InProcNetwork net(2);
-  EXPECT_FALSE(net.try_recv(0).has_value());
 }
 
 TEST(InProcNetwork, RecvForTimesOut) {
   InProcNetwork net(1);
-  EXPECT_FALSE(net.recv_for(0, std::chrono::milliseconds(10)).has_value());
+  Message out;
+  EXPECT_EQ(net.recv_for(0, std::chrono::milliseconds(10), out),
+            PopStatus::kTimeout);
 }
 
 TEST(InProcNetwork, StatsCountTraffic) {
@@ -237,7 +238,8 @@ TEST(InProcNetwork, StatsCountTraffic) {
   m.dest = 1;
   net.send(m);
   net.send(m);
-  ASSERT_TRUE(net.recv(1).has_value());
+  Message got;
+  ASSERT_EQ(net.recv(1, got), PopStatus::kItem);
   const auto s0 = net.stats(0);
   const auto s1 = net.stats(1);
   EXPECT_EQ(s0.messages_sent, 2u);
@@ -495,12 +497,12 @@ TEST(TcpTransport, LoopbackListenerRoundTrip) {
 TEST(InProcNetwork, CrossThreadPingPong) {
   InProcNetwork net(2);
   std::thread peer([&net] {
-    auto m = net.recv(1);
-    ASSERT_TRUE(m.has_value());
+    Message m;
+    ASSERT_EQ(net.recv(1, m), PopStatus::kItem);
     Message reply;
     reply.source = 1;
     reply.dest = 0;
-    reply.iteration = m->iteration + 1;
+    reply.iteration = m.iteration + 1;
     net.send(std::move(reply));
   });
   Message ping;
@@ -508,9 +510,9 @@ TEST(InProcNetwork, CrossThreadPingPong) {
   ping.dest = 1;
   ping.iteration = 41;
   net.send(std::move(ping));
-  const auto pong = net.recv(0);
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->iteration, 42);
+  Message pong;
+  ASSERT_EQ(net.recv(0, pong), PopStatus::kItem);
+  EXPECT_EQ(pong.iteration, 42);
   peer.join();
 }
 

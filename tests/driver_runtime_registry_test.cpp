@@ -47,8 +47,7 @@ TEST(RuntimeRegistry, AliasLookupFindsCanonicalEntry) {
 }
 
 TEST(RuntimeRegistry, CreateReturnsNullptrOnUnknownName) {
-  // The long-standing make_runtime contract: no throw, callers print
-  // unknown_message themselves.
+  // No throw: callers print unknown_message themselves.
   EXPECT_EQ(RuntimeRegistry::instance().create("mpi"), nullptr);
 }
 
@@ -117,7 +116,7 @@ TEST(RuntimeRegistry, DuplicateNamesAndAliasesRejected) {
 TEST(RuntimeRegistry, SingleRegistrationCallAddsASelectableRuntime) {
   // The extension contract: one registration call (no if/else ladder or
   // name-table edits) and the runtime is selectable by name or alias
-  // like any built-in, including through make_runtime.
+  // like any built-in.
   auto& registry = RuntimeRegistry::instance();
   if (registry.find("test_sim_clone") == nullptr) {
     RuntimeRegistration registration(
@@ -130,7 +129,7 @@ TEST(RuntimeRegistry, SingleRegistrationCallAddsASelectableRuntime) {
   auto runtime = registry.create("test_sc");
   ASSERT_NE(runtime, nullptr);
   EXPECT_EQ(runtime->name(), "sim");
-  ASSERT_NE(make_runtime("test_sim_clone"), nullptr);
+  ASSERT_NE(registry.create("test_sim_clone"), nullptr);
 }
 
 }  // namespace

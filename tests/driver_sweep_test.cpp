@@ -136,6 +136,17 @@ TEST(SweepPlan, CapabilityViolationsRejectedBeforeAnyCellRuns) {
       std::make_shared<const coupon::simulate::ClusterConfig>(
           coupon::simulate::ec2_cluster());
   EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument);
+  // The crash drill's worker must exist in every cell, not only at the
+  // base n: worker 3 is out of range for the n = 2 cell.
+  plan = driver::SweepPlan{};
+  plan.base.runtime = "process";
+  plan.base.scenario = "no_stragglers";
+  plan.base.load = 2;
+  plan.base.crash_worker = 3;
+  plan.workers = {2, 8};
+  EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument);
+  plan.base.crash_worker = 1;  // in range for both cells: fine
+  EXPECT_EQ(driver::expand_plan(plan).size(), 2u);
 }
 
 TEST(SweepPlan, ParallelSweepIsBitIdenticalToSerial) {

@@ -10,25 +10,28 @@
 #include <stdexcept>
 
 #include "driver/driver.hpp"
+#include "driver/runtime_registry.hpp"
 #include "simulate/experiment.hpp"
 
 namespace driver = coupon::driver;
 
 TEST(ScenarioRegistry, EveryListedScenarioIsConstructible) {
-  for (const auto& name : driver::scenario_names()) {
-    const auto* entry = driver::ScenarioRegistry::instance().find(name);
+  const auto& registry = driver::ScenarioRegistry::instance();
+  for (const auto& name : registry.names()) {
+    const auto* entry = registry.find(name);
     ASSERT_NE(entry, nullptr) << name;
     if (!entry->builder) {
       // Parameterized-only entries (trace:<path>) need an argument.
-      EXPECT_FALSE(driver::make_scenario(name, 40).has_value()) << name;
+      EXPECT_EQ(registry.resolve(name), nullptr) << name;
+      EXPECT_THROW(registry.build(name, 40), std::invalid_argument) << name;
       continue;
     }
-    const auto scenario = driver::make_scenario(name, 40);
-    ASSERT_TRUE(scenario.has_value()) << name;
-    EXPECT_EQ(scenario->name, name);
-    EXPECT_FALSE(scenario->description.empty());
+    ASSERT_EQ(registry.resolve(name), entry) << name;
+    const auto scenario = registry.build(name, 40);
+    EXPECT_EQ(scenario.name, name);
+    EXPECT_FALSE(scenario.description.empty());
   }
-  EXPECT_FALSE(driver::make_scenario("bogus", 40).has_value());
+  EXPECT_EQ(registry.resolve("bogus"), nullptr);
 }
 
 TEST(ScenarioRegistry, BuildThrowsOnUnknownNameListingChoices) {
@@ -180,59 +183,59 @@ TEST(ScenarioRegistry, RegisteredScenarioIsRunnable) {
 }
 
 TEST(ScenarioRegistry, ShiftedExpMatchesEc2Calibration) {
-  const auto scenario = driver::make_scenario("shifted_exp", 50);
-  ASSERT_TRUE(scenario.has_value());
+  const auto scenario =
+      driver::ScenarioRegistry::instance().build("shifted_exp", 50);
   const auto ec2 = coupon::simulate::ec2_cluster();
-  EXPECT_DOUBLE_EQ(scenario->cluster.compute_shift, ec2.compute_shift);
-  EXPECT_DOUBLE_EQ(scenario->cluster.compute_straggle, ec2.compute_straggle);
-  EXPECT_DOUBLE_EQ(scenario->cluster.unit_transfer_seconds,
+  EXPECT_DOUBLE_EQ(scenario.cluster.compute_shift, ec2.compute_shift);
+  EXPECT_DOUBLE_EQ(scenario.cluster.compute_straggle, ec2.compute_straggle);
+  EXPECT_DOUBLE_EQ(scenario.cluster.unit_transfer_seconds,
                    ec2.unit_transfer_seconds);
 }
 
 TEST(ScenarioRegistry, HeteroScenarioBuildsPerWorkerOverrides) {
+  const auto& registry = driver::ScenarioRegistry::instance();
   const std::size_t n = 40;
-  const auto scenario = driver::make_scenario("hetero", n);
-  ASSERT_TRUE(scenario.has_value());
-  ASSERT_EQ(scenario->cluster.worker_overrides.size(), n);
+  const auto scenario = registry.build("hetero", n);
+  ASSERT_EQ(scenario.cluster.worker_overrides.size(), n);
   std::size_t fast = 0;
-  for (const auto& w : scenario->cluster.worker_overrides) {
+  for (const auto& w : scenario.cluster.worker_overrides) {
     if (w.compute_straggle > 1.0) {
       ++fast;
     }
   }
   EXPECT_EQ(fast, n / 20);  // 5% fast workers
   // Tiny clusters still get at least one fast worker.
-  const auto tiny = driver::make_scenario("hetero", 3);
-  ASSERT_TRUE(tiny.has_value());
-  ASSERT_EQ(tiny->cluster.worker_overrides.size(), 3u);
-  EXPECT_GT(tiny->cluster.worker_overrides.back().compute_straggle, 1.0);
+  const auto tiny = registry.build("hetero", 3);
+  ASSERT_EQ(tiny.cluster.worker_overrides.size(), 3u);
+  EXPECT_GT(tiny.cluster.worker_overrides.back().compute_straggle, 1.0);
 }
 
 TEST(ScenarioRegistry, ScenarioKnobsDifferFromBaseline) {
-  const auto base = driver::make_scenario("shifted_exp", 20);
-  const auto lossy = driver::make_scenario("lossy", 20);
-  const auto fast = driver::make_scenario("fast_network", 20);
-  const auto calm = driver::make_scenario("no_stragglers", 20);
-  ASSERT_TRUE(base && lossy && fast && calm);
-  EXPECT_GT(lossy->cluster.drop_probability, 0.0);
-  EXPECT_LT(fast->cluster.unit_transfer_seconds,
-            base->cluster.unit_transfer_seconds);
-  EXPECT_FALSE(calm->straggler.enabled);
-  EXPECT_TRUE(base->straggler.enabled);
+  const auto& registry = driver::ScenarioRegistry::instance();
+  const auto base = registry.build("shifted_exp", 20);
+  const auto lossy = registry.build("lossy", 20);
+  const auto fast = registry.build("fast_network", 20);
+  const auto calm = registry.build("no_stragglers", 20);
+  EXPECT_GT(lossy.cluster.drop_probability, 0.0);
+  EXPECT_LT(fast.cluster.unit_transfer_seconds,
+            base.cluster.unit_transfer_seconds);
+  EXPECT_FALSE(calm.straggler.enabled);
+  EXPECT_TRUE(base.straggler.enabled);
 }
 
 TEST(RuntimeFactory, SpellingsAndNames) {
-  ASSERT_NE(driver::make_runtime("sim"), nullptr);
-  EXPECT_EQ(driver::make_runtime("simulated")->name(), "sim");
-  EXPECT_EQ(driver::make_runtime("threaded")->name(), "threaded");
-  EXPECT_EQ(driver::make_runtime("threads")->name(), "threaded");
-  EXPECT_EQ(driver::make_runtime("process")->name(), "process");
-  EXPECT_EQ(driver::make_runtime("processes")->name(), "process");
-  EXPECT_EQ(driver::make_runtime("proc")->name(), "process");
-  EXPECT_EQ(driver::make_runtime("mpi"), nullptr);
-  EXPECT_EQ(driver::runtime_names().size(), 3u);
-  EXPECT_NE(driver::runtime_choices().find("sim"), std::string::npos);
-  EXPECT_NE(driver::runtime_choices().find("process"), std::string::npos);
+  const auto& registry = driver::RuntimeRegistry::instance();
+  ASSERT_NE(registry.create("sim"), nullptr);
+  EXPECT_EQ(registry.create("simulated")->name(), "sim");
+  EXPECT_EQ(registry.create("threaded")->name(), "threaded");
+  EXPECT_EQ(registry.create("threads")->name(), "threaded");
+  EXPECT_EQ(registry.create("process")->name(), "process");
+  EXPECT_EQ(registry.create("processes")->name(), "process");
+  EXPECT_EQ(registry.create("proc")->name(), "process");
+  EXPECT_EQ(registry.create("mpi"), nullptr);
+  EXPECT_EQ(registry.names().size(), 3u);
+  EXPECT_NE(registry.choices().find("sim"), std::string::npos);
+  EXPECT_NE(registry.choices().find("process"), std::string::npos);
 }
 
 TEST(Driver, ConfigFromSimScenarioCopiesParametersAndCluster) {
@@ -268,6 +271,21 @@ TEST(Driver, ClusterOverrideRejectedByThreadedRuntime) {
   auto config = driver::config_from_sim_scenario(
       coupon::simulate::ec2_scenario_one());
   config.runtime = "threaded";
+  EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+}
+
+TEST(Driver, NegativeWorkerTimeoutRejected) {
+  // 0 means "wait forever" to the live master loop, so a negative typo
+  // must fail loudly instead of silently disabling the hang backstop.
+  // Rejected before any worker is forked.
+  driver::ExperimentConfig config;
+  config.runtime = "process";
+  config.scenario = "no_stragglers";
+  config.num_workers = 4;
+  config.num_units = 4;
+  config.load = 2;
+  config.iterations = 2;
+  config.worker_timeout_ms = -1;
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
 }
 

@@ -336,6 +336,34 @@ TEST(Runtime, ReusableForConsecutiveTrainingRuns) {
                             opt::LearningRateSchedule::constant(0.1));
   const auto r2 = cluster.train(opt2, options);
   EXPECT_EQ(r1.weights, r2.weights);  // identical deterministic runs
+
+  // BCC with injected stragglers, shaped like BccWithLowerKThanUncoded:
+  // a run returns while stragglers of its last iteration are still
+  // computing, so a reused cluster must not share anything with them.
+  // BCC's decode sums batches in batch order, so weights are bitwise
+  // independent of arrival order.
+  stats::Rng rng(9);
+  data::SyntheticConfig dconf;
+  dconf.num_features = 4;
+  const auto problem = data::generate_logreg(6, dconf, rng);
+  core::PerExampleSource source(problem.dataset);
+  core::SchemeConfig config{24, 6, 2, true};  // B = 3, n = 24
+  auto scheme = core::SchemeRegistry::instance().create("bcc", config, rng);
+  TrainOptions bcc_options;
+  bcc_options.iterations = 10;
+  bcc_options.straggler.enabled = true;
+  bcc_options.straggler.shift_ms_per_unit = 0.05;
+  bcc_options.straggler.straggle = 1.0;
+  auto train = [&](ThreadCluster& cluster) {
+    opt::GradientDescent opt(4, opt::LearningRateSchedule::constant(0.1));
+    return cluster.train(opt, bcc_options).weights;
+  };
+  ThreadCluster fresh(*scheme, source);
+  const auto expected = train(fresh);
+  ThreadCluster reused(*scheme, source);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(train(reused), expected) << "run " << run;
+  }
 }
 
 }  // namespace
