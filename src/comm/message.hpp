@@ -9,6 +9,7 @@
 /// index a BCC worker processed).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace coupon::comm {
@@ -43,11 +44,18 @@ struct Message {
   std::size_t payload_size() const { return payload.size(); }
 };
 
-/// Serializes `m` into a portable little-endian byte buffer.
+/// Writes `m`'s little-endian wire bytes into `out`, which must hold
+/// exactly `m.wire_size()` bytes — e.g. a frame's body after its length
+/// prefix, so the frame leaves as one buffer with no body copy.
+void serialize(const Message& m, std::span<std::uint8_t> out);
+
+/// Serializes `m` into a fresh buffer of `m.wire_size()` bytes.
 std::vector<std::uint8_t> serialize(const Message& m);
 
-/// Parses a buffer produced by `serialize`. Returns false on malformed
-/// input (short buffer, bad magic, truncated arrays) without touching `out`.
-bool deserialize(const std::vector<std::uint8_t>& bytes, Message& out);
+/// Parses bytes produced by `serialize`, in place. Returns false on
+/// malformed input (short buffer, bad magic, array lengths that do not
+/// match the bytes present) without touching `out`; never throws on a
+/// hostile length.
+bool deserialize(std::span<const std::uint8_t> bytes, Message& out);
 
 }  // namespace coupon::comm

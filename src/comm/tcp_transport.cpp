@@ -7,9 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <ctime>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -17,17 +20,82 @@ namespace coupon::comm {
 
 namespace {
 
+/// Bytes of the length prefix in front of every frame body.
+constexpr std::size_t kPrefixBytes = 8;
+
 /// Frames above this are treated as stream corruption, not messages: the
 /// largest legitimate payload (a model broadcast) is n_features doubles.
 constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 31;
 
-/// Writes all `n` bytes, riding out EINTR and short writes; never raises
-/// SIGPIPE. False when the peer is gone.
+/// The least free space a stream buffer offers one read; buffers grow by
+/// doubling past it.
+constexpr std::size_t kMinReadBytes = 4096;
+
+/// The body length a frame prefix announces; 0 when no valid frame can
+/// start with it (zero, or above kMaxFrameBytes). The one parser of the
+/// prefix, for the buffered cutter and `recv_frame` alike.
+std::uint64_t frame_length(const std::uint8_t* prefix) {
+  std::uint64_t length = 0;
+  for (std::size_t i = 0; i < kPrefixBytes; ++i) {
+    length |= static_cast<std::uint64_t>(prefix[i]) << (8 * i);
+  }
+  return length <= kMaxFrameBytes ? length : 0;
+}
+
+/// Lays `m` out as one frame in `wire`: the length prefix, then the body
+/// serialized in place after it.
+void encode_frame(const Message& m, std::vector<std::uint8_t>& wire) {
+  const std::uint64_t length = m.wire_size();
+  wire.resize(kPrefixBytes + length);
+  for (std::size_t i = 0; i < kPrefixBytes; ++i) {
+    wire[i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
+  serialize(m, std::span<std::uint8_t>(wire).subspan(kPrefixBytes));
+}
+
+/// A wait's end point. A negative timeout, or one past the clock's range,
+/// saturates to "no deadline" instead of overflowing into the past.
+class Deadline {
+ public:
+  using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::milliseconds;
+
+  explicit Deadline(Ms timeout) {
+    if (timeout.count() < 0) {
+      return;
+    }
+    const Clock::time_point now = Clock::now();
+    const auto room =
+        std::chrono::duration_cast<Ms>(Clock::time_point::max() - now);
+    if (timeout < room) {
+      at_ = now + timeout;
+    }
+  }
+
+  bool unlimited() const { return at_ == Clock::time_point::max(); }
+
+  bool passed() const { return !unlimited() && Clock::now() >= at_; }
+
+  /// poll()'s timeout: -1 without a deadline, else the milliseconds left,
+  /// rounded up and capped at INT_MAX.
+  int poll_ms() const {
+    if (unlimited()) {
+      return -1;
+    }
+    const Ms::rep left = std::chrono::ceil<Ms>(at_ - Clock::now()).count();
+    return static_cast<int>(std::clamp<Ms::rep>(left, 0, INT_MAX));
+  }
+
+ private:
+  Clock::time_point at_ = Clock::time_point::max();
+};
+
+/// Writes all `n` bytes with blocking sends, riding out EINTR and short
+/// writes; never raises SIGPIPE. False when the peer is gone.
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t wrote =
-        ::send(fd, data + done, n - done, MSG_NOSIGNAL);
+    const ssize_t wrote = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) {
         continue;
@@ -39,49 +107,41 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-/// Reads exactly `n` bytes. 1 = done, 0 = EOF or error (stream over).
-int read_all(int fd, std::uint8_t* data, std::size_t n) {
+/// Reads exactly `n` bytes. False on EOF or a read error (stream over).
+bool read_all(int fd, std::uint8_t* data, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t got = ::read(fd, data + done, n - done);
-    if (got < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return 0;
+    const ssize_t got = ::recv(fd, data + done, n - done, 0);
+    if (got < 0 && errno == EINTR) {
+      continue;
     }
-    if (got == 0) {
-      return 0;  // EOF mid-frame: the peer is gone
+    if (got <= 0) {
+      return false;  // EOF mid-frame (the peer is gone) or an error
     }
     done += static_cast<std::size_t>(got);
   }
-  return 1;
+  return true;
 }
 
-/// Waits for `fd` to become readable. 1 = readable (or hung up — the
-/// subsequent read observes the EOF), 0 = timeout, -1 = poll error.
+/// Waits for `fd` to become readable; a negative `timeout` waits forever.
+/// 1 = readable (or hung up — the subsequent read observes the EOF),
+/// 0 = timeout, -1 = poll error.
 int wait_readable(int fd, std::chrono::milliseconds timeout) {
+  const Deadline deadline(timeout);
   struct pollfd pfd;
   pfd.fd = fd;
   pfd.events = POLLIN;
   pfd.revents = 0;
   for (;;) {
-    const int rc = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
+    const int rc = ::poll(&pfd, 1, deadline.poll_ms());
     if (rc < 0 && errno == EINTR) {
       continue;
     }
+    if (rc == 0 && !deadline.passed()) {
+      continue;  // a capped poll timeout ran out before the deadline
+    }
     return rc < 0 ? -1 : (rc == 0 ? 0 : 1);
   }
-}
-
-bool send_frame_bytes(int fd, const std::vector<std::uint8_t>& wire) {
-  std::uint8_t prefix[8];
-  const std::uint64_t length = wire.size();
-  for (int i = 0; i < 8; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(length >> (8 * i));
-  }
-  return write_all(fd, prefix, sizeof(prefix)) &&
-         write_all(fd, wire.data(), wire.size());
 }
 
 /// Turns off Nagle on TCP streams; a no-op on AF_UNIX (where the option
@@ -97,13 +157,43 @@ void close_fd(int fd) {
   }
 }
 
+enum class Cut {
+  kFrame,    ///< a whole frame was parsed into `out` and consumed
+  kPartial,  ///< the next frame has not fully arrived
+  kCorrupt,  ///< a bad length or a body `deserialize` rejects
+};
+
+/// Cuts the next whole frame out of `buf[begin, end)`, parsing the body
+/// where it lies.
+Cut cut_frame(const std::vector<std::uint8_t>& buf, std::size_t& begin,
+              std::size_t end, Message& out) {
+  const std::size_t have = end - begin;
+  if (have < kPrefixBytes) {
+    return Cut::kPartial;
+  }
+  const std::uint64_t length = frame_length(buf.data() + begin);
+  if (length == 0) {
+    return Cut::kCorrupt;
+  }
+  if (have - kPrefixBytes < length) {
+    return Cut::kPartial;
+  }
+  if (!deserialize({buf.data() + begin + kPrefixBytes, length}, out)) {
+    return Cut::kCorrupt;
+  }
+  begin += kPrefixBytes + length;
+  return Cut::kFrame;
+}
+
 }  // namespace
 
 bool send_frame(int fd, const Message& m) {
   if (fd < 0) {
     return false;
   }
-  return send_frame_bytes(fd, serialize(m));
+  std::vector<std::uint8_t> wire;
+  encode_frame(m, wire);
+  return write_all(fd, wire.data(), wire.size());
 }
 
 FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout,
@@ -111,28 +201,23 @@ FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout,
   if (fd < 0) {
     return FrameStatus::kClosed;
   }
-  if (timeout.count() >= 0) {
-    const int ready = wait_readable(fd, timeout);
-    if (ready == 0) {
-      return FrameStatus::kTimeout;
-    }
-    if (ready < 0) {
-      return FrameStatus::kClosed;
-    }
+  const int ready = wait_readable(fd, timeout);
+  if (ready == 0) {
+    return FrameStatus::kTimeout;
   }
-  std::uint8_t prefix[8];
-  if (read_all(fd, prefix, sizeof(prefix)) != 1) {
+  if (ready < 0) {
     return FrameStatus::kClosed;
   }
-  std::uint64_t length = 0;
-  for (int i = 0; i < 8; ++i) {
-    length |= static_cast<std::uint64_t>(prefix[i]) << (8 * i);
+  std::uint8_t prefix[kPrefixBytes];
+  if (!read_all(fd, prefix, kPrefixBytes)) {
+    return FrameStatus::kClosed;
   }
-  if (length == 0 || length > kMaxFrameBytes) {
+  const std::uint64_t length = frame_length(prefix);
+  if (length == 0) {
     return FrameStatus::kClosed;  // corrupt stream; resync is impossible
   }
   std::vector<std::uint8_t> body(static_cast<std::size_t>(length));
-  if (read_all(fd, body.data(), body.size()) != 1) {
+  if (!read_all(fd, body.data(), body.size())) {
     return FrameStatus::kClosed;
   }
   return deserialize(body, out) ? FrameStatus::kMessage
@@ -167,8 +252,7 @@ bool tcp_loopback_available() {
     if (client < 0) {
       return false;
     }
-    const int accepted =
-        listener->accept_fd(std::chrono::milliseconds(500));
+    const int accepted = listener->accept_fd(std::chrono::milliseconds(500));
     close_fd(client);
     close_fd(accepted);
     return accepted >= 0;
@@ -189,8 +273,7 @@ std::unique_ptr<TcpListener> TcpListener::open() {
   socklen_t addr_len = sizeof(addr);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(fd, SOMAXCONN) != 0 ||
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
-          0) {
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
     close_fd(fd);
     return nullptr;
   }
@@ -225,8 +308,7 @@ int tcp_connect_loopback(std::uint16_t port,
     if (fd < 0) {
       return -1;
     }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       return fd;
     }
     close_fd(fd);
@@ -245,65 +327,150 @@ int tcp_connect_loopback(std::uint16_t port,
 
 TcpTransport::TcpTransport(std::size_t rank, std::size_t num_ranks,
                            std::vector<int> fds)
-    : rank_(rank), num_ranks_(num_ranks), fds_(std::move(fds)) {}
+    : rank_(rank), num_ranks_(num_ranks), poll_set_(fds.size()) {
+  streams_.reserve(fds.size());
+  for (int fd : fds) {
+    COUPON_ASSERT(fd >= 0);
+    set_nodelay(fd);
+    streams_.emplace_back().fd = fd;
+  }
+}
 
 std::unique_ptr<TcpTransport> TcpTransport::master(
     std::vector<int> worker_fds) {
   COUPON_ASSERT(!worker_fds.empty());
   const std::size_t num_ranks = worker_fds.size() + 1;
-  auto transport = std::unique_ptr<TcpTransport>(
+  return std::unique_ptr<TcpTransport>(
       new TcpTransport(/*rank=*/0, num_ranks, std::move(worker_fds)));
-  transport->readers_.reserve(transport->fds_.size());
-  for (std::size_t i = 0; i < transport->fds_.size(); ++i) {
-    const int fd = transport->fds_[i];
-    COUPON_ASSERT(fd >= 0);
-    set_nodelay(fd);
-    TcpTransport* self = transport.get();
-    transport->readers_.emplace_back(
-        [self, i, fd] { self->reader_loop(i + 1, fd); });
-  }
-  return transport;
 }
 
 std::unique_ptr<TcpTransport> TcpTransport::worker(int fd, std::size_t rank,
                                                    std::size_t num_ranks) {
-  COUPON_ASSERT(fd >= 0);
   COUPON_ASSERT(rank >= 1 && rank < num_ranks);
-  set_nodelay(fd);
   return std::unique_ptr<TcpTransport>(
       new TcpTransport(rank, num_ranks, std::vector<int>{fd}));
 }
 
 TcpTransport::~TcpTransport() { close(); }
 
-void TcpTransport::reader_loop(std::size_t peer_rank, int fd) {
+void TcpTransport::Stream::read_some(int flags) {
+  if (buf.size() - end < kMinReadBytes) {
+    if (begin > 0) {
+      std::memmove(buf.data(), buf.data() + begin, end - begin);
+      end -= begin;
+      begin = 0;
+    }
+    if (buf.size() - end < kMinReadBytes) {
+      buf.resize(std::max(2 * buf.size(), end + kMinReadBytes));
+    }
+  }
   for (;;) {
-    RecvEvent event;
-    const FrameStatus status =
-        recv_frame(fd, std::chrono::milliseconds(-1), event.message);
-    if (status != FrameStatus::kMessage) {
-      // EOF (or stream corruption): exactly one crash/leave signal, then
-      // the reader retires.
-      event.status = RecvStatus::kPeerClosed;
-      event.peer = peer_rank;
-      event.message = Message{};
-      inbox_.push(std::move(event));
+    const ssize_t got = ::recv(fd, buf.data() + end, buf.size() - end, flags);
+    if (got > 0) {
+      end += static_cast<std::size_t>(got);
       return;
     }
-    event.status = RecvStatus::kMessage;
-    event.peer = peer_rank;
-    inbox_.push(std::move(event));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      eof = true;
+    }
+    return;
   }
 }
 
-int TcpTransport::fd_for(std::size_t dest) const {
+bool TcpTransport::next_event(RecvEvent& event) {
+  const std::size_t n = streams_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = (next_stream_ + k) % n;
+    Stream& s = streams_[i];
+    if (s.reported) {
+      continue;
+    }
+    const Cut cut = cut_frame(s.buf, s.begin, s.end, event.message);
+    if (cut == Cut::kPartial && !s.eof) {
+      continue;
+    }
+    next_stream_ = (i + 1) % n;
+    event.peer = rank_ == 0 ? i + 1 : 0;
+    if (cut == Cut::kFrame) {
+      if (s.begin == s.end) {
+        s.begin = s.end = 0;
+      }
+      event.status = RecvStatus::kMessage;
+      return true;
+    }
+    // The stream is over — EOF after its last whole frame, or a frame
+    // that leaves its offset untrustworthy. A truncated tail is dropped.
+    s.eof = true;
+    s.buf = {};
+    s.begin = s.end = 0;
+    if (rank_ == 0) {
+      s.reported = true;  // exactly one crash/leave signal per worker
+      event.status = RecvStatus::kPeerClosed;
+    } else {
+      event.status = RecvStatus::kClosed;  // the master is gone for good
+    }
+    return true;
+  }
+  return false;
+}
+
+int TcpTransport::poll_and_read(int timeout_ms, const Stream* writer) {
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    const Stream& s = streams_[i];
+    const bool writes = &s == writer;
+    pollfd& p = poll_set_[i];
+    p.fd = s.eof && !writes ? -1 : s.fd;  // poll() skips negative fds
+    p.events = static_cast<short>((s.eof ? 0 : POLLIN) |
+                                  (writes ? POLLOUT : 0));
+    p.revents = 0;
+  }
+  const int rc = ::poll(poll_set_.data(), poll_set_.size(), timeout_ms);
+  for (std::size_t i = 0; rc > 0 && i < streams_.size(); ++i) {
+    if (!streams_[i].eof &&
+        (poll_set_[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      streams_[i].read_some(MSG_DONTWAIT);
+    }
+  }
+  return rc;
+}
+
+const TcpTransport::Stream& TcpTransport::stream_for(std::size_t dest) const {
   if (rank_ == 0) {
     COUPON_ASSERT_MSG(dest >= 1 && dest < num_ranks_,
                       "master send to bad rank " << dest);
-    return fds_[dest - 1];
+    return streams_[dest - 1];
   }
   COUPON_ASSERT_MSG(dest == 0, "workers may only send to the master");
-  return fds_[0];
+  return streams_[0];
+}
+
+bool TcpTransport::write_frame(const Stream& dest) {
+  const std::uint8_t* data = wire_.data();
+  std::size_t left = wire_.size();
+  while (left > 0) {
+    const ssize_t wrote =
+        ::send(dest.fd, data, left, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (wrote >= 0) {
+      data += wrote;
+      left -= static_cast<std::size_t>(wrote);
+      continue;
+    }
+    if (errno == EINTR) {
+      continue;
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return false;  // EPIPE/ECONNRESET: the peer is gone
+    }
+    // The socket is full. Wait for space while reading every stream, so
+    // a peer blocked writing to us drains and can read what we send.
+    if (poll_and_read(-1, &dest) < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool TcpTransport::send(Message m) {
@@ -311,13 +478,13 @@ bool TcpTransport::send(Message m) {
     return false;
   }
   m.source = static_cast<std::int32_t>(rank_);
-  const int fd = fd_for(static_cast<std::size_t>(m.dest));
-  const std::vector<std::uint8_t> wire = serialize(m);
-  if (!send_frame_bytes(fd, wire)) {
+  const Stream& dest = stream_for(static_cast<std::size_t>(m.dest));
+  encode_frame(m, wire_);
+  if (!write_frame(dest)) {
     return false;
   }
   ++messages_sent_;
-  bytes_sent_ += wire.size();
+  bytes_sent_ += wire_.size() - kPrefixBytes;
   payload_units_sent_ += m.payload.size();
   return true;
 }
@@ -332,36 +499,28 @@ RecvEvent TcpTransport::recv_for(std::chrono::milliseconds timeout) {
     event.status = RecvStatus::kClosed;
     return event;
   }
-  if (rank_ == 0) {
-    // Master: drain the inbox the readers feed.
-    const PopStatus status =
-        timeout.count() < 0 ? inbox_.pop(event)
-                            : inbox_.pop_for(timeout, event);
-    if (status == PopStatus::kTimeout) {
-      event.status = RecvStatus::kTimeout;
-    } else if (status == PopStatus::kClosed) {
-      event.status = RecvStatus::kClosed;
-    } else if (event.status == RecvStatus::kMessage) {
-      ++messages_received_;
+  const Deadline deadline(timeout);
+  for (;;) {
+    if (next_event(event)) {
+      if (event.status == RecvStatus::kMessage) {
+        ++messages_received_;
+      }
+      return event;
     }
-    return event;
-  }
-  // Worker: read the master stream directly. Master EOF is terminal for
-  // a worker — there is no one left to hear from.
-  switch (recv_frame(fds_[0], timeout, event.message)) {
-    case FrameStatus::kMessage:
-      event.status = RecvStatus::kMessage;
-      event.peer = 0;
-      ++messages_received_;
-      return event;
-    case FrameStatus::kTimeout:
+    if (deadline.unlimited() && streams_.size() == 1 && !streams_[0].eof) {
+      streams_[0].read_some(/*flags=*/0);  // one blocking recv per wait
+      continue;
+    }
+    const int rc = poll_and_read(deadline.poll_ms(), /*writer=*/nullptr);
+    if (rc == 0 && deadline.passed()) {
       event.status = RecvStatus::kTimeout;
       return event;
-    case FrameStatus::kClosed:
-      break;
+    }
+    if (rc < 0 && errno != EINTR) {
+      event.status = RecvStatus::kClosed;  // this endpoint cannot wait
+      return event;
+    }
   }
-  event.status = RecvStatus::kClosed;
-  return event;
 }
 
 void TcpTransport::close() {
@@ -369,20 +528,11 @@ void TcpTransport::close() {
     return;
   }
   closed_ = true;
-  for (int fd : fds_) {
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);  // unblocks the reader of this stream
-    }
+  for (Stream& s : streams_) {
+    ::shutdown(s.fd, SHUT_RDWR);  // peers see EOF even if a dup survives
+    close_fd(s.fd);
+    s = Stream{};
   }
-  for (auto& reader : readers_) {
-    reader.join();
-  }
-  readers_.clear();
-  for (int& fd : fds_) {
-    close_fd(fd);
-    fd = -1;
-  }
-  inbox_.close();
 }
 
 TrafficStats TcpTransport::stats() const {

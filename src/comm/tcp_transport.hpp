@@ -6,25 +6,26 @@
 /// Wire format: each message travels as one length-prefixed frame,
 /// `[u64 length, little-endian][serialize(Message)]` — the explicit
 /// prefix is what lets a byte stream be cut back into the exact-size
-/// buffers `deserialize` demands. Both loopback TCP connections and
+/// spans `deserialize` demands. Both loopback TCP connections and
 /// AF_UNIX stream socketpairs carry the identical framing, so sandboxes
 /// that forbid binding a listening socket fall back to socketpairs
 /// created before fork() with no protocol change.
 ///
 /// Crash detection is the kernel's: when a worker process dies (SIGKILL
-/// included), its socket closes and the master's reader observes EOF —
-/// surfaced as one `RecvStatus::kPeerClosed` event for that rank, kept
-/// distinct from `kTimeout` (peer slow) and `kClosed` (endpoint shut
-/// down by its owner).
+/// included), its socket closes and the master's poll loop reads EOF —
+/// surfaced, after that stream's last whole frame, as one
+/// `RecvStatus::kPeerClosed` event for that rank, kept distinct from
+/// `kTimeout` (peer slow) and `kClosed` (endpoint shut down by its
+/// owner).
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "comm/queue.hpp"
 #include "comm/transport.hpp"
+
+struct pollfd;
 
 namespace coupon::comm {
 
@@ -50,13 +51,13 @@ enum class FrameStatus {
   kClosed,   ///< EOF, a malformed frame, or a read error — terminal
 };
 
-/// Reads one frame from `fd`. A negative `timeout` blocks indefinitely;
-/// otherwise the deadline applies to the frame's first byte (a started
-/// frame is always read to completion). Malformed input (oversized
-/// length, bytes `deserialize` rejects) is terminal: the stream offset
-/// can no longer be trusted.
-FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout,
-                       Message& out);
+/// Reads exactly one frame from `fd`, with blocking reads — the TCP hello
+/// handshake, which must not consume bytes past its frame. A negative
+/// `timeout` blocks indefinitely; otherwise the deadline applies to the
+/// frame's first byte (a started frame is always read to completion).
+/// Malformed input (zero or oversized length, bytes `deserialize`
+/// rejects) is terminal: the stream offset can no longer be trusted.
+FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout, Message& out);
 
 /// A loopback TCP listener on an ephemeral port, for collecting worker
 /// connections at cluster start.
@@ -86,16 +87,24 @@ class TcpListener {
 };
 
 /// Connects to 127.0.0.1:`port`; -1 on failure within `timeout`.
-int tcp_connect_loopback(std::uint16_t port,
-                         std::chrono::milliseconds timeout);
+int tcp_connect_loopback(std::uint16_t port, std::chrono::milliseconds timeout);
 
 /// Stream-socket `Transport` endpoint. Two shapes share the class:
 ///
-///  - `master()` owns one connected stream per worker and a reader
-///    thread per stream; readers funnel frames (and EOFs, as
-///    kPeerClosed) into one inbox the master's `recv` drains.
+///  - `master()` owns one connected stream per worker. `recv`/`recv_for`
+///    run one poll() loop on the caller's thread: each ready stream is
+///    read without blocking into its own buffer, and whole frames are cut
+///    out of those buffers in place, round-robin across streams and in
+///    order within each. A stream's EOF (or a corrupt frame) becomes one
+///    kPeerClosed after its last whole frame. A `send` that has to wait
+///    for socket space keeps reading every stream meanwhile, so a worker
+///    blocked writing a large reply cannot deadlock the master.
 ///  - `worker()` owns the single stream to the master and reads it
-///    directly — no threads; master EOF surfaces as kClosed.
+///    through the same frame buffer, one blocking recv() per wait; master
+///    EOF surfaces as kClosed.
+///
+/// No call starts a thread, so every call on an endpoint, `send`
+/// included, belongs to the endpoint's owning thread.
 class TcpTransport final : public Transport {
  public:
   /// Master endpoint (rank 0). `worker_fds[i]` is the connected stream
@@ -121,21 +130,48 @@ class TcpTransport final : public Transport {
   TrafficStats stats() const override;
 
  private:
-  TcpTransport(std::size_t rank, std::size_t num_ranks,
-               std::vector<int> fds);
+  /// One connected stream and the bytes read from it that no frame has
+  /// consumed yet: [begin, end) of `buf`.
+  struct Stream {
+    int fd = -1;
+    std::vector<std::uint8_t> buf;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool eof = false;       ///< EOF, a read error or a corrupt frame seen
+    bool reported = false;  ///< the master returned its kPeerClosed
 
-  /// Reader-thread body for one master-side stream: frames -> inbox,
-  /// EOF -> one kPeerClosed event.
-  void reader_loop(std::size_t peer_rank, int fd);
+    /// One recv() with `flags` into the free tail of `buf`, which is
+    /// compacted or doubled first when little is free. EOF and hard
+    /// errors set `eof`; EAGAIN changes nothing.
+    void read_some(int flags);
+  };
 
-  /// Stream to `dest`: fds_[0] on a worker, fds_[dest-1] on the master.
-  int fd_for(std::size_t dest) const;
+  TcpTransport(std::size_t rank, std::size_t num_ranks, std::vector<int> fds);
+
+  /// The next event the buffered bytes already hold: a whole frame, or a
+  /// finished stream's close. Streams take turns, starting after the one
+  /// that produced the previous event. False when there is neither.
+  bool next_event(RecvEvent& event);
+
+  /// Polls every unfinished stream for input — and `writer`, when given,
+  /// for space to write — for up to `timeout_ms` (-1: no limit), then
+  /// reads each stream that polled ready once. Returns poll()'s result.
+  int poll_and_read(int timeout_ms, const Stream* writer);
+
+  /// Writes `wire_` to `dest`, reading every stream while the socket is
+  /// full. False when the peer is gone.
+  bool write_frame(const Stream& dest);
+
+  /// Stream to `dest`: streams_[0] on a worker, streams_[dest-1] on the
+  /// master.
+  const Stream& stream_for(std::size_t dest) const;
 
   std::size_t rank_;
   std::size_t num_ranks_;
-  std::vector<int> fds_;
-  std::vector<std::thread> readers_;          // master only
-  BlockingQueue<RecvEvent> inbox_;            // master only
+  std::vector<Stream> streams_;
+  std::vector<pollfd> poll_set_;    // one entry per stream, same order
+  std::size_t next_stream_ = 0;     // where next_event's turn starts
+  std::vector<std::uint8_t> wire_;  // the frame being sent
   bool closed_ = false;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -1,12 +1,20 @@
 // Tests for the message-passing substrate: serialization, the blocking
-// queue, and the in-process network.
+// queue, the in-process network, and the framed stream transport.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <future>
+#include <map>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "comm/comm.hpp"
@@ -27,7 +35,7 @@ Message sample_message() {
   return m;
 }
 
-// --- serialization ------------------------------------------------------------
+// --- serialization -----------------------------------------------------------
 
 TEST(Serialization, RoundTripPreservesEverything) {
   const Message m = sample_message();
@@ -107,7 +115,20 @@ TEST(Serialization, FailedParseLeavesOutputUntouched) {
   EXPECT_EQ(out, before);
 }
 
-// --- blocking queue -------------------------------------------------------------
+TEST(Serialization, RejectsArrayLengthThatWrapsWhenMultiplied) {
+  // A 48-byte body: the 40-byte header, one meta slot, no payload. A
+  // meta_len of 2^61 + 1 times 8 wraps to 8, the bytes actually present.
+  Message m;
+  m.meta = {7};
+  auto bytes = serialize(m);
+  ASSERT_EQ(bytes.size(), 48u);
+  const std::uint64_t crafted = (std::uint64_t{1} << 61) + 1;
+  std::memcpy(bytes.data() + 24, &crafted, sizeof(crafted));
+  Message out;
+  EXPECT_FALSE(deserialize(bytes, out));
+}
+
+// --- blocking queue ----------------------------------------------------------
 
 TEST(BlockingQueue, FifoOrder) {
   BlockingQueue<int> q;
@@ -124,8 +145,7 @@ TEST(BlockingQueue, FifoOrder) {
 TEST(BlockingQueue, PopForTimesOut) {
   BlockingQueue<int> q;
   int out = 0;
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
-            PopStatus::kTimeout);
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out), PopStatus::kTimeout);
 }
 
 TEST(BlockingQueue, CloseRejectsPushAndDrains) {
@@ -195,7 +215,7 @@ TEST(BlockingQueue, ConcurrentProducersConsumersConserveItems) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// --- network --------------------------------------------------------------------
+// --- network -----------------------------------------------------------------
 
 TEST(InProcNetwork, DeliversToDestination) {
   InProcNetwork net(3);
@@ -269,7 +289,7 @@ TEST(InProcNetwork, SendToClosedRankReturnsFalse) {
   EXPECT_FALSE(net.send(std::move(m)));
 }
 
-// --- status pops (EOF distinct from timeout) ------------------------------------
+// --- status pops (EOF distinct from timeout) ---------------------------------
 
 TEST(BlockingQueue, StatusPopDistinguishesItemTimeoutClosed) {
   BlockingQueue<int> q;
@@ -277,15 +297,13 @@ TEST(BlockingQueue, StatusPopDistinguishesItemTimeoutClosed) {
   int out = 0;
   EXPECT_EQ(q.pop(out), PopStatus::kItem);
   EXPECT_EQ(out, 5);
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
-            PopStatus::kTimeout);
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out), PopStatus::kTimeout);
   q.push(6);
   q.close();
   EXPECT_EQ(q.pop(out), PopStatus::kItem);  // drains before reporting closed
   EXPECT_EQ(out, 6);
   EXPECT_EQ(q.pop(out), PopStatus::kClosed);
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
-            PopStatus::kClosed);
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out), PopStatus::kClosed);
 }
 
 TEST(InProcNetwork, StatusRecvDistinguishesTimeoutFromClosed) {
@@ -305,7 +323,7 @@ TEST(InProcNetwork, StatusRecvDistinguishesTimeoutFromClosed) {
             PopStatus::kClosed);
 }
 
-// --- Transport seam -------------------------------------------------------------
+// --- Transport seam ----------------------------------------------------------
 
 TEST(InProcessTransport, RoundTripBothDirections) {
   InProcNetwork net(2);
@@ -340,7 +358,7 @@ TEST(InProcessTransport, TimeoutAndCloseStatuses) {
   EXPECT_EQ(master.recv().status, RecvStatus::kClosed);
 }
 
-// --- framed stream transport ----------------------------------------------------
+// --- framed stream transport -------------------------------------------------
 
 TEST(TcpTransport, FramingRoundTripOverSocketpair) {
   if (!socketpair_available()) {
@@ -492,6 +510,276 @@ TEST(TcpTransport, LoopbackListenerRoundTrip) {
   ASSERT_EQ(echoed.status, RecvStatus::kMessage);
   EXPECT_EQ(echoed.peer, 1u);
   client.join();
+}
+
+// --- stream failure matrix ---------------------------------------------------
+
+/// Wire bytes of a frame whose prefix announces `length`, then `body`.
+std::vector<std::uint8_t> frame_bytes(std::uint64_t length,
+                                      const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> wire(8 + body.size());
+  for (std::size_t i = 0; i < 8; ++i) {
+    wire[i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
+  std::copy(body.begin(), body.end(), wire.begin() + 8);
+  return wire;
+}
+
+std::vector<std::uint8_t> frame_bytes(const Message& m) {
+  const std::vector<std::uint8_t> body = serialize(m);
+  return frame_bytes(body.size(), body);
+}
+
+Message numbered_message(std::int64_t iteration) {
+  Message m = sample_message();
+  m.iteration = iteration;
+  return m;
+}
+
+/// A master endpoint over socketpairs whose far ends stay raw fds, so a
+/// test can write hand-made bytes as a worker would.
+class TcpTransportPeers : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!socketpair_available()) {
+      GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+    }
+  }
+
+  void TearDown() override { disconnect(); }
+
+  void disconnect() {
+    master_.reset();
+    for (int fd : peers_) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+    peers_.clear();
+  }
+
+  /// Connects a fresh master to `n` peers; peer i is worker rank i+1.
+  void wire(std::size_t n) {
+    disconnect();
+    std::vector<int> master_fds;
+    for (std::size_t i = 0; i < n; ++i) {
+      int fds[2];
+      ASSERT_TRUE(make_stream_socketpair(fds));
+      master_fds.push_back(fds[0]);
+      peers_.push_back(fds[1]);
+    }
+    master_ = TcpTransport::master(std::move(master_fds));
+  }
+
+  void write_bytes(std::size_t peer, std::span<const std::uint8_t> bytes) {
+    ASSERT_EQ(::write(peers_[peer], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  void close_peer(std::size_t peer) {
+    ::close(peers_[peer]);
+    peers_[peer] = -1;
+  }
+
+  std::unique_ptr<TcpTransport> master_;
+  std::vector<int> peers_;
+};
+
+TEST_F(TcpTransportPeers, TwoFramesInOneWriteArriveInOrder) {
+  wire(1);
+  std::vector<std::uint8_t> bytes = frame_bytes(numbered_message(1));
+  const std::vector<std::uint8_t> second = frame_bytes(numbered_message(2));
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  write_bytes(0, bytes);
+  const RecvEvent first = master_->recv_for(std::chrono::milliseconds(5000));
+  const RecvEvent next = master_->recv_for(std::chrono::milliseconds(5000));
+  ASSERT_EQ(first.status, RecvStatus::kMessage);
+  ASSERT_EQ(next.status, RecvStatus::kMessage);
+  EXPECT_EQ(first.peer, 1u);
+  EXPECT_EQ(first.message.iteration, 1);
+  EXPECT_EQ(next.message.iteration, 2);
+}
+
+TEST_F(TcpTransportPeers, FrameWrittenOneByteAtATimeArrivesOnce) {
+  wire(1);
+  const std::vector<std::uint8_t> bytes = frame_bytes(sample_message());
+  std::size_t delivered = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    write_bytes(0, std::span(bytes).subspan(i, 1));
+    const RecvEvent event = master_->recv_for(std::chrono::milliseconds(0));
+    if (event.status == RecvStatus::kMessage) {
+      ++delivered;
+      EXPECT_EQ(i + 1, bytes.size()) << "delivered before its last byte";
+      EXPECT_EQ(event.message, sample_message());
+    } else {
+      EXPECT_EQ(event.status, RecvStatus::kTimeout);
+    }
+  }
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(master_->recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kTimeout);
+}
+
+TEST_F(TcpTransportPeers, TruncatedFrameThenCloseGivesOnePeerClosed) {
+  wire(1);
+  std::vector<std::uint8_t> bytes = frame_bytes(numbered_message(1));
+  const std::vector<std::uint8_t> whole = frame_bytes(numbered_message(2));
+  const std::vector<std::uint8_t> cut = frame_bytes(numbered_message(3));
+  bytes.insert(bytes.end(), whole.begin(), whole.end());
+  bytes.insert(bytes.end(), cut.begin(), cut.begin() + cut.size() / 2);
+  write_bytes(0, bytes);
+  close_peer(0);
+  const auto wait = std::chrono::milliseconds(5000);
+  const RecvEvent a = master_->recv_for(wait);
+  const RecvEvent b = master_->recv_for(wait);
+  const RecvEvent eof = master_->recv_for(wait);
+  ASSERT_EQ(a.status, RecvStatus::kMessage);
+  ASSERT_EQ(b.status, RecvStatus::kMessage);
+  EXPECT_EQ(a.message.iteration, 1);
+  EXPECT_EQ(b.message.iteration, 2);
+  EXPECT_EQ(eof.status, RecvStatus::kPeerClosed);
+  EXPECT_EQ(eof.peer, 1u);
+  EXPECT_EQ(master_->recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kTimeout);
+}
+
+TEST_F(TcpTransportPeers, HostileFrameHeadersCloseThePeer) {
+  const std::vector<std::uint8_t> body = serialize(sample_message());
+  std::vector<std::uint8_t> bad_magic = frame_bytes(body.size(), body);
+  bad_magic[8] ^= 0xFF;  // first byte of the body's magic
+  const std::uint64_t too_long = (std::uint64_t{1} << 31) + 1;
+  const std::map<std::string, std::vector<std::uint8_t>> cases = {
+      {"zero length", frame_bytes(0, body)},
+      {"length above 2^31", frame_bytes(too_long, body)},
+      {"bad magic", bad_magic},
+  };
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    wire(1);
+    write_bytes(0, bytes);
+    EXPECT_EQ(master_->recv_for(std::chrono::milliseconds(5000)).status,
+              RecvStatus::kPeerClosed);
+  }
+}
+
+TEST_F(TcpTransportPeers, PeerStalledMidFrameHoldsBackNoOne) {
+  wire(2);
+  const std::vector<std::uint8_t> bytes = frame_bytes(sample_message());
+  write_bytes(0, std::span(bytes).first(bytes.size() / 2));
+  write_bytes(1, bytes);
+  const RecvEvent event = master_->recv_for(std::chrono::milliseconds(5000));
+  ASSERT_EQ(event.status, RecvStatus::kMessage);
+  EXPECT_EQ(event.peer, 2u);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(master_->recv_for(std::chrono::milliseconds(100)).status,
+            RecvStatus::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST(TcpTransport, RecvForSaturatesAHugeTimeout) {
+  if (!socketpair_available()) {
+    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+  }
+  // Two workers, so the master waits in poll() rather than in one
+  // blocking recv; a year of milliseconds also exceeds poll()'s int.
+  int a[2];
+  int b[2];
+  ASSERT_TRUE(make_stream_socketpair(a));
+  ASSERT_TRUE(make_stream_socketpair(b));
+  auto master = TcpTransport::master({a[0], b[0]});
+  auto worker = TcpTransport::worker(a[1], 1, 3);
+  auto idle = TcpTransport::worker(b[1], 2, 3);
+  const std::chrono::milliseconds year = std::chrono::hours(24 * 365);
+  for (const auto timeout : {std::chrono::milliseconds::max(), year}) {
+    std::thread late([&worker] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      Message m = sample_message();
+      m.dest = 0;
+      worker->send(std::move(m));
+    });
+    const RecvEvent event = master->recv_for(timeout);
+    late.join();
+    EXPECT_EQ(event.status, RecvStatus::kMessage);
+    EXPECT_EQ(event.peer, 1u);
+  }
+}
+
+TEST(TcpTransport, LargePayloadRoundTripsBothWays) {
+  if (!socketpair_available()) {
+    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+  }
+  int fds[2];
+  ASSERT_TRUE(make_stream_socketpair(fds));
+  auto master = TcpTransport::master({fds[0]});
+  auto worker = TcpTransport::worker(fds[1], 1, 2);
+  Message big;
+  big.dest = 1;
+  big.tag = kTagModelBroadcast;
+  big.payload.resize(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < big.payload.size(); ++i) {
+    big.payload[i] = static_cast<double>(i) * 0.25;
+  }
+  RecvEvent at_worker;
+  std::thread echo([&] {
+    at_worker = worker->recv();
+    Message reply = at_worker.message;
+    reply.dest = 0;
+    reply.tag = kTagGradient;
+    worker->send(std::move(reply));
+  });
+  ASSERT_TRUE(master->send(big));
+  const RecvEvent at_master = master->recv_for(std::chrono::seconds(10));
+  echo.join();
+  ASSERT_EQ(at_worker.status, RecvStatus::kMessage);
+  EXPECT_EQ(at_worker.message.payload, big.payload);
+  ASSERT_EQ(at_master.status, RecvStatus::kMessage);
+  EXPECT_EQ(at_master.message.payload, big.payload);
+}
+
+TEST(TcpTransport, LargeReplyBeforeLargeBroadcastDoesNotDeadlock) {
+  if (!socketpair_available()) {
+    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+  }
+  // The worker writes its 8 MiB reply before reading the master's 8 MiB
+  // broadcast: both sockets fill, and only a master that reads while its
+  // send waits for space lets the two finish.
+  int fds[2];
+  ASSERT_TRUE(make_stream_socketpair(fds));
+  auto master = TcpTransport::master({fds[0]});
+  auto worker = TcpTransport::worker(fds[1], 1, 2);
+  const std::vector<double> payload(std::size_t{1} << 20, 0.5);
+  RecvEvent at_master;
+  RecvEvent at_worker;
+  auto exchange = std::async(std::launch::async, [&] {
+    std::thread replier([&] {
+      Message reply;
+      reply.dest = 0;
+      reply.tag = kTagGradient;
+      reply.payload = payload;
+      worker->send(std::move(reply));
+      at_worker = worker->recv();
+    });
+    Message broadcast;
+    broadcast.dest = 1;
+    broadcast.tag = kTagModelBroadcast;
+    broadcast.payload = payload;
+    master->send(std::move(broadcast));
+    at_master = master->recv_for(std::chrono::seconds(10));
+    replier.join();
+  });
+  const auto status = exchange.wait_for(std::chrono::seconds(10));
+  const bool finished = status == std::future_status::ready;
+  if (!finished) {
+    // Fail instead of hanging: shutting both ends down breaks the wait.
+    ::shutdown(fds[0], SHUT_RDWR);
+    ::shutdown(fds[1], SHUT_RDWR);
+  }
+  exchange.wait();
+  ASSERT_TRUE(finished) << "master and worker deadlocked";
+  ASSERT_EQ(at_master.status, RecvStatus::kMessage);
+  EXPECT_EQ(at_master.message.payload, payload);
+  ASSERT_EQ(at_worker.status, RecvStatus::kMessage);
+  EXPECT_EQ(at_worker.message.payload, payload);
 }
 
 TEST(InProcNetwork, CrossThreadPingPong) {

@@ -69,11 +69,15 @@ TEST(ProcessRuntime, FinalLossMatchesThreadedFromTheSameSeed) {
 
 TEST(ProcessRuntime, SurvivesSigkilledWorkerMidIteration) {
   SKIP_WITHOUT_PROCESS_SUPPORT();
-  // Worker 1 raises SIGKILL on receiving iteration 2's broadcast: the
+  // Worker 0 raises SIGKILL on receiving iteration 2's broadcast: the
   // master must observe the socket EOF, shrink its expectation, and
-  // finish all 12 iterations on the survivors under kSkipUpdate.
+  // finish all 12 iterations on the survivors under kSkipUpdate. Worker 0
+  // alone holds batch 0 here, so the master waits for it every iteration
+  // and must see the EOF. A worker whose batch others also hold is never
+  // waited for; it can fall so far behind that it reaches the crash
+  // broadcast only after the master's last iteration.
   auto config = live_config("process");
-  config.crash_worker = 1;
+  config.crash_worker = 0;
   config.crash_iteration = 2;
   config.worker_timeout_ms = 5000;
   const auto record = driver::run_experiment(config);
