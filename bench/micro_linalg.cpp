@@ -1,12 +1,14 @@
 // Microbenchmarks for the linalg substrate (google-benchmark): the
-// kernels that dominate worker compute (dot/axpy/gemv for logistic
-// gradients) and master decode (QR least squares for CR).
+// kernels of worker compute (dot/axpy and the row kernels of the
+// logistic gradient and loss) and master decode (QR least squares for
+// CR).
 
 #include <benchmark/benchmark.h>
 
-#include "linalg/linalg.hpp"
+#include "linalg/gemv.hpp"
+#include "linalg/solve.hpp"
+#include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -66,31 +68,57 @@ void BM_Gemv(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemv)->Args({100, 8000})->Args({1000, 1000});
 
-void BM_GemvParallel(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto cols = static_cast<std::size_t>(state.range(1));
-  const auto a = random_matrix(rows, cols, 7);
-  const auto x = random_vector(cols, 8);
-  std::vector<double> y(rows, 0.0);
-  auto& pool = coupon::ThreadPool::shared();
-  for (auto _ : state) {
-    coupon::linalg::gemv_parallel(pool, 1.0, a, x, 0.0, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_GemvParallel)->Args({100, 8000})->Args({1000, 1000});
+// One 64-example block of the logistic gradient's two row passes, at
+// p = 8 and 20 (perf_sim's train rows run p = 20), perfbench's p = 100,
+// and p = 1000. per_row:1 times the per-row dot/axpy loop instead; both
+// produce the same bits.
+constexpr std::size_t kBlockRows = 64;
 
-void BM_Gemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_matrix(n, n, 9);
-  const auto b = random_matrix(n, n, 10);
-  Matrix c(n, n, 0.0);
+void BM_DotRows(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const bool per_row = state.range(1) != 0;
+  const auto rows = random_vector(kBlockRows * p, 14);
+  const auto w = random_vector(p, 15);
+  std::vector<double> out(kBlockRows);
   for (auto _ : state) {
-    coupon::linalg::gemm(1.0, a, b, 0.0, c);
-    benchmark::DoNotOptimize(c.data().data());
+    if (per_row) {
+      for (std::size_t k = 0; k < kBlockRows; ++k) {
+        out[k] = coupon::linalg::dot({rows.data() + k * p, p}, w);
+      }
+    } else {
+      coupon::linalg::dot_rows(rows.data(), kBlockRows, p, w.data(),
+                               out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_DotRows)
+    ->ArgNames({"p", "per_row"})
+    ->ArgsProduct({{8, 20, 100, 1000}, {0, 1}});
+
+void BM_AxpyRows(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const bool per_row = state.range(1) != 0;
+  const auto rows = random_vector(kBlockRows * p, 16);
+  const auto coefs = random_vector(kBlockRows, 17);
+  auto out = random_vector(p, 18);
+  for (auto _ : state) {
+    if (per_row) {
+      for (std::size_t k = 0; k < kBlockRows; ++k) {
+        coupon::linalg::axpy(coefs[k], {rows.data() + k * p, p}, out);
+      }
+    } else {
+      coupon::linalg::axpy_rows(coefs.data(), rows.data(), kBlockRows, p,
+                                out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AxpyRows)
+    ->ArgNames({"p", "per_row"})
+    ->ArgsProduct({{8, 20, 100, 1000}, {0, 1}});
 
 void BM_LuSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -14,37 +14,4 @@ void gemv(double alpha, const Matrix& a, std::span<const double> x,
   }
 }
 
-void gemv_transposed(double alpha, const Matrix& a, std::span<const double> x,
-                     double beta, std::span<double> y) {
-  COUPON_ASSERT(x.size() == a.rows());
-  COUPON_ASSERT(y.size() == a.cols());
-  if (beta != 1.0) {
-    scal(beta, y);
-  }
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    axpy(alpha * x[r], a.row(r), y);
-  }
-}
-
-void gemv_parallel(ThreadPool& pool, double alpha, const Matrix& a,
-                   std::span<const double> x, double beta,
-                   std::span<double> y) {
-  COUPON_ASSERT(x.size() == a.cols());
-  COUPON_ASSERT(y.size() == a.rows());
-  // Parallelize only when the total work justifies the fork/join cost.
-  const std::size_t work = a.rows() * a.cols();
-  if (work < (1u << 16) || pool.size() <= 1) {
-    gemv(alpha, a, x, beta, y);
-    return;
-  }
-  parallel_for_chunks(
-      pool, 0, a.rows(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          y[r] = alpha * dot(a.row(r), x) + beta * y[r];
-        }
-      },
-      /*serial_threshold=*/1);
-}
-
 }  // namespace coupon::linalg

@@ -1,16 +1,14 @@
 #pragma once
 
 /// \file gemv.hpp
-/// BLAS-2 matrix-vector kernels, serial and thread-pool-parallel.
+/// BLAS-2 matrix-vector product for the dense solvers (residuals, Ax).
 ///
-/// Logistic-regression batch gradients are two GEMVs per batch:
-/// `s = X_B * w` followed by `g = X_B^T * c` (see opt/logistic.hpp), so
-/// these kernels dominate worker compute time in the threaded runtime.
+/// The training path does not go through here: the logistic gradient
+/// and loss walk example rows with the row kernels of vector_ops.hpp.
 
 #include <span>
 
 #include "linalg/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coupon::linalg {
 
@@ -18,16 +16,5 @@ namespace coupon::linalg {
 /// y.size() == A.rows().
 void gemv(double alpha, const Matrix& a, std::span<const double> x,
           double beta, std::span<double> y);
-
-/// y = alpha * A^T * x + beta * y. Requires x.size() == A.rows(),
-/// y.size() == A.cols(). A is accessed row-wise (cache friendly for the
-/// row-major layout): y accumulates alpha * x[r] * A.row(r).
-void gemv_transposed(double alpha, const Matrix& a, std::span<const double> x,
-                     double beta, std::span<double> y);
-
-/// Parallel y = alpha * A * x + beta * y over row blocks on `pool`.
-void gemv_parallel(ThreadPool& pool, double alpha, const Matrix& a,
-                   std::span<const double> x, double beta,
-                   std::span<double> y);
 
 }  // namespace coupon::linalg

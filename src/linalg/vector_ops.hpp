@@ -1,21 +1,29 @@
 #pragma once
 
 /// \file vector_ops.hpp
-/// BLAS-1 style kernels over `std::span<double>`.
+/// BLAS-1 style kernels over `std::span<double>`, plus the two row kernels
+/// of the training path.
 ///
 /// These free functions are the building blocks for the gradient
 /// computations (sums of per-example gradients) and for the dense solvers.
 /// They are deliberately allocation-free; callers own all buffers.
 ///
-/// The five hottest kernels (dot, axpy, scal, fill, copy) are defined
-/// inline here: they sit on the per-example gradient path, where the call
-/// into a separate translation unit costs more than the loop body at the
-/// p ~ 20 dimensions the benches run. Bitwise-safe to inline — every TU
-/// compiles with the same flags and the loop bodies fix the association
-/// order, so inlining cannot change results. Their size checks use
-/// `COUPON_DCHECK` (the documented hot-inner-loop idiom in
-/// util/assert.hpp): at ~10ns per kernel call an always-on branch per
-/// invocation is measurable on the training bench.
+/// `dot_rows`/`axpy_rows` serve the logistic gradient and loss: one call
+/// covers a block of contiguous rows, so they live in vector_ops.cpp. The
+/// per-vector kernels (dot, axpy, scal, fill, copy) are defined inline
+/// here: the solvers and the per-row callers invoke them once per row,
+/// where the call into a separate translation unit costs more than a
+/// short loop body. Bitwise-safe to inline — every TU compiles with the
+/// same flags and the loop bodies fix the association order, so inlining
+/// cannot change results. Their size checks use `COUPON_DCHECK` (the
+/// documented hot-inner-loop idiom in util/assert.hpp): at ~10ns per
+/// kernel call an always-on branch per invocation is measurable.
+///
+/// On x86, dot, axpy and the row kernels runtime-dispatch to an AVX2 body
+/// that performs the scalar body's IEEE operations in the same
+/// association order, so which path runs never changes a bit (DESIGN.md
+/// §12). The scalar bodies are named `detail::*_scalar` so tests can pin
+/// both paths on any host.
 
 #include <algorithm>
 #include <cstddef>
@@ -31,16 +39,51 @@
 
 namespace coupon::linalg {
 
-#if COUPON_LINALG_X86_DISPATCH
 namespace detail {
 
-/// AVX2 dot with the lane layout of the scalar 4-way unroll: vector lane
-/// l holds exactly the scalar accumulator s_l (the sum of x[4i+l] *
-/// y[4i+l]), the tail folds into s0, and the reduce is the scalar's
-/// (s0 + s1) + (s2 + s3). Every lane op is the same IEEE multiply/add as
-/// the scalar code, so the result is bit-identical. The target attribute
-/// enables avx2 only — not fma — so the compiler cannot contract the
-/// mul+add into a fused (differently-rounded) instruction.
+/// Scalar dot: four-way unrolled accumulation (s_l sums x[4i+l] *
+/// y[4i+l]), the tail folded into s0, reduced as (s0 + s1) + (s2 + s3).
+/// Measurably faster than the naive loop at -O2, and the fixed
+/// association order keeps rounding deterministic.
+inline double dot_scalar(const double* x, const double* y, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += x[i] * y[i];
+    s1 += x[i + 1] * y[i + 1];
+    s2 += x[i + 2] * y[i + 2];
+    s3 += x[i + 3] * y[i + 3];
+  }
+  for (; i < n; ++i) {
+    s0 += x[i] * y[i];
+  }
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// Scalar axpy: y[i] += alpha * x[i].
+inline void axpy_scalar(double alpha, const double* x, double* y,
+                        std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] += alpha * x[i];
+  }
+}
+
+/// Scalar dot_rows: dot_scalar per row.
+void dot_rows_scalar(const double* rows, std::size_t count, std::size_t p,
+                     const double* w, double* out);
+
+/// Scalar axpy_rows: axpy_scalar per row, in row order.
+void axpy_rows_scalar(const double* coefs, const double* rows,
+                      std::size_t count, std::size_t p, double* out);
+
+#if COUPON_LINALG_X86_DISPATCH
+/// AVX2 dot with the lane layout of dot_scalar: vector lane l holds
+/// exactly the scalar accumulator s_l, the tail folds into s0, and the
+/// reduce is the scalar's (s0 + s1) + (s2 + s3). Every lane op is the
+/// same IEEE multiply/add as the scalar code, so the result is
+/// bit-identical. The target attribute enables avx2 only — not fma — so
+/// the compiler cannot contract the mul+add into a fused
+/// (differently-rounded) instruction.
 __attribute__((target("avx2"))) inline double dot_avx2(const double* x,
                                                        const double* y,
                                                        std::size_t n) {
@@ -76,104 +119,9 @@ __attribute__((target("avx2"))) inline void axpy_avx2(double alpha,
     y[i] += alpha * x[i];
   }
 }
-
-/// AVX2 multi-row dot: out[k] = <rows[k], w> for `count` contiguous rows
-/// of length 4*NV. Hoists w into NV ymm registers for the whole pass —
-/// the scalar path reloads w per row — and reproduces dot_avx2's chain
-/// per row exactly: acc starts at zero, accumulates add(acc, mul(...))
-/// in the same vector order, and reduces (s0 + s1) + (s2 + s3). Same
-/// lane ops, same association ⇒ same bits as calling dot() per row.
-template <int NV>
-__attribute__((target("avx2"))) inline void dot_rows_avx2(
-    const double* rows, std::size_t count, const double* w, double* out) {
-  constexpr std::size_t kP = 4 * NV;
-  __m256d wv[NV];
-  for (int v = 0; v < NV; ++v) {
-    wv[v] = _mm256_loadu_pd(w + 4 * v);
-  }
-  for (std::size_t k = 0; k < count; ++k, rows += kP) {
-    __m256d acc = _mm256_setzero_pd();
-    for (int v = 0; v < NV; ++v) {
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(wv[v], _mm256_loadu_pd(rows + 4 * v)));
-    }
-    alignas(32) double s[4];
-    _mm256_store_pd(s, acc);
-    out[k] = (s[0] + s[1]) + (s[2] + s[3]);
-  }
-}
-
-/// Row-dot companion to axpy_rows_dispatch: same shape constraints
-/// (p = 4*NV, NV in {2..8}), same fallback contract (false ⇒ caller
-/// calls dot() per row, which produces the same bits).
-inline bool dot_rows_dispatch(const double* rows, std::size_t count,
-                              std::size_t p, const double* w, double* out) {
-  if (p % 4 != 0 || !__builtin_cpu_supports("avx2")) {
-    return false;
-  }
-  switch (p / 4) {
-    case 2: dot_rows_avx2<2>(rows, count, w, out); return true;
-    case 3: dot_rows_avx2<3>(rows, count, w, out); return true;
-    case 4: dot_rows_avx2<4>(rows, count, w, out); return true;
-    case 5: dot_rows_avx2<5>(rows, count, w, out); return true;
-    case 6: dot_rows_avx2<6>(rows, count, w, out); return true;
-    case 7: dot_rows_avx2<7>(rows, count, w, out); return true;
-    case 8: dot_rows_avx2<8>(rows, count, w, out); return true;
-    default: return false;
-  }
-}
-
-/// AVX2 multi-row axpy: out += sum_k coefs[k] * rows[k], rows contiguous
-/// with stride 4*NV (= the row length). Keeps `out` in NV ymm
-/// accumulators for the whole pass instead of loading/storing it per
-/// row. Each element's update sequence is exactly the per-row scalar
-/// axpy's (same mul, same add, same k order), so bits cannot change;
-/// avx2-without-fma forbids contraction as above.
-template <int NV>
-__attribute__((target("avx2"))) inline void axpy_rows_avx2(
-    const double* coefs, const double* rows, std::size_t count, double* out) {
-  constexpr std::size_t kP = 4 * NV;
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) {
-    acc[v] = _mm256_loadu_pd(out + 4 * v);
-  }
-  for (std::size_t k = 0; k < count; ++k, rows += kP) {
-    const __m256d c = _mm256_set1_pd(coefs[k]);
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = _mm256_add_pd(acc[v],
-                             _mm256_mul_pd(c, _mm256_loadu_pd(rows + 4 * v)));
-    }
-  }
-  for (int v = 0; v < NV; ++v) {
-    _mm256_storeu_pd(out + 4 * v, acc[v]);
-  }
-}
-
-/// Dispatch table over the row length p = 4*NV (NV accumulators must fit
-/// the 16 ymm registers alongside the row loads; p in {8..32} covers the
-/// feature counts the benches and experiments use). Returns false when
-/// the shape has no specialized kernel (caller falls back to per-row
-/// axpy, which produces the same bits).
-inline bool axpy_rows_dispatch(const double* coefs, const double* rows,
-                               std::size_t count, std::size_t p,
-                               double* out) {
-  if (p % 4 != 0 || !__builtin_cpu_supports("avx2")) {
-    return false;
-  }
-  switch (p / 4) {
-    case 2: axpy_rows_avx2<2>(coefs, rows, count, out); return true;
-    case 3: axpy_rows_avx2<3>(coefs, rows, count, out); return true;
-    case 4: axpy_rows_avx2<4>(coefs, rows, count, out); return true;
-    case 5: axpy_rows_avx2<5>(coefs, rows, count, out); return true;
-    case 6: axpy_rows_avx2<6>(coefs, rows, count, out); return true;
-    case 7: axpy_rows_avx2<7>(coefs, rows, count, out); return true;
-    case 8: axpy_rows_avx2<8>(coefs, rows, count, out); return true;
-    default: return false;
-  }
-}
+#endif  // COUPON_LINALG_X86_DISPATCH
 
 }  // namespace detail
-#endif  // COUPON_LINALG_X86_DISPATCH
 
 /// Dot product <x, y>. Requires x.size() == y.size().
 inline double dot(std::span<const double> x, std::span<const double> y) {
@@ -187,20 +135,7 @@ inline double dot(std::span<const double> x, std::span<const double> y) {
     return detail::dot_avx2(x.data(), y.data(), n);
   }
 #endif
-  // Four-way unrolled accumulation: measurably faster than the naive loop
-  // at -O2 and keeps rounding deterministic (fixed association order).
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += x[i] * y[i];
-    s1 += x[i + 1] * y[i + 1];
-    s2 += x[i + 2] * y[i + 2];
-    s3 += x[i + 3] * y[i + 3];
-  }
-  for (; i < n; ++i) {
-    s0 += x[i] * y[i];
-  }
-  return (s0 + s1) + (s2 + s3);
+  return detail::dot_scalar(x.data(), y.data(), n);
 }
 
 /// y += alpha * x. Requires x.size() == y.size().
@@ -214,10 +149,19 @@ inline void axpy(double alpha, std::span<const double> x,
     return;
   }
 #endif
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
+  detail::axpy_scalar(alpha, x.data(), y.data(), n);
 }
+
+/// out[k] = <rows + k*p, w> for `count` contiguous rows of length p —
+/// bit-identical to calling dot() per row, for every p.
+void dot_rows(const double* rows, std::size_t count, std::size_t p,
+              const double* w, double* out);
+
+/// out += sum_k coefs[k] * (rows + k*p) over `count` contiguous rows of
+/// length p — bit-identical to calling axpy() per row in k order, for
+/// every p.
+void axpy_rows(const double* coefs, const double* rows, std::size_t count,
+               std::size_t p, double* out);
 
 /// x *= alpha.
 inline void scal(double alpha, std::span<double> x) {

@@ -1,11 +1,20 @@
 #include "opt/logistic.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::opt {
+
+namespace {
+
+/// Examples per gradient/loss block: the per-block scratch (margins,
+/// coefficients) stays on the stack, so the passes allocate nothing.
+constexpr std::size_t kBlock = 64;
+
+}  // namespace
 
 double sigmoid(double z) {
   if (z >= 0.0) {
@@ -26,24 +35,29 @@ double log1p_exp(double z) {
 double logistic_loss(const data::Dataset& dataset,
                      std::span<const double> w) {
   COUPON_ASSERT(w.size() == dataset.num_features());
+  // The gradient's block shape (partial_gradient_range): a row-dot pass
+  // over the block, then a log1p_exp pass summed in example order. Each
+  // example's margin and slot in the running sum are unchanged, so the
+  // bits are too.
   const std::size_t m = dataset.num_examples();
+  const std::size_t p = dataset.num_features();
+  const double* const xbase = dataset.x.data().data();
+  double dots[kBlock];
   double total = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double margin =
-        dataset.y[j] * linalg::dot(dataset.x.row(j), w);
-    total += log1p_exp(-margin);
+  for (std::size_t base = 0; base < m; base += kBlock) {
+    const std::size_t len = std::min(kBlock, m - base);
+    linalg::dot_rows(xbase + base * p, len, p, w.data(), dots);
+    for (std::size_t k = 0; k < len; ++k) {
+      const double margin = dataset.y[base + k] * dots[k];
+      total += log1p_exp(-margin);
+    }
   }
   return total / static_cast<double>(m);
 }
 
 void logistic_gradient(const data::Dataset& dataset,
                        std::span<const double> w, std::span<double> grad) {
-  COUPON_ASSERT(grad.size() == dataset.num_features());
-  std::vector<std::size_t> all(dataset.num_examples());
-  for (std::size_t j = 0; j < all.size(); ++j) {
-    all[j] = j;
-  }
-  partial_gradient_sum(dataset, all, w, grad, /*accumulate=*/false);
+  partial_gradient_range(dataset, 0, dataset.num_examples(), w, grad);
   linalg::scal(1.0 / static_cast<double>(dataset.num_examples()), grad);
 }
 
@@ -70,7 +84,6 @@ void partial_gradient_sum(const data::Dataset& dataset,
   // call is measurable, and j is debug-checked here already.
   const std::size_t p = dataset.num_features();
   const double* const xbase = dataset.x.data().data();
-  constexpr std::size_t kBlock = 64;
   double coefs[kBlock];
   for (std::size_t base = 0; base < indices.size(); base += kBlock) {
     const std::size_t len = std::min(kBlock, indices.size() - base);
@@ -98,43 +111,26 @@ void partial_gradient_range(const data::Dataset& dataset, std::size_t first,
     linalg::fill(out, 0.0);
   }
   // Same block structure (and the same FP chain) as the index form
-  // above, with the coefficient pass further split in two: a pure dot
-  // pass (no calls — the row-dot kernel keeps w in registers across the
-  // whole block) and a sigmoid pass over the stashed dot values. Each
-  // example's dot, sigmoid, and slot in the running sum are unchanged,
-  // so the bits are too.
+  // above, with the coefficient pass further split in two: a row-dot
+  // pass and a sigmoid pass over the stashed dot values; the axpy pass
+  // then applies the whole block with the row kernel. Each example's
+  // dot, sigmoid, and slot in the running sum are unchanged, so the
+  // bits are too.
   const std::size_t p = dataset.num_features();
   const double* const xbase = dataset.x.data().data();
   const double* const y = dataset.y.data();
-  constexpr std::size_t kBlock = 64;
   double dots[kBlock];
   double coefs[kBlock];
   for (std::size_t base = 0; base < count; base += kBlock) {
     const std::size_t len = std::min(kBlock, count - base);
-    const double* xrow = xbase + (first + base) * p;
-#if COUPON_LINALG_X86_DISPATCH
-    if (!linalg::detail::dot_rows_dispatch(xrow, len, p, w.data(), dots)) {
-#else
-    if (true) {
-#endif
-      for (std::size_t k = 0; k < len; ++k, xrow += p) {
-        dots[k] = linalg::dot({xrow, p}, w);
-      }
-    }
+    const double* const xrow = xbase + (first + base) * p;
+    linalg::dot_rows(xrow, len, p, w.data(), dots);
     for (std::size_t k = 0; k < len; ++k) {
       const double label = y[first + base + k];
       const double margin = label * dots[k];
       coefs[k] = -label * sigmoid(-margin);
     }
-    xrow = xbase + (first + base) * p;
-#if COUPON_LINALG_X86_DISPATCH
-    if (linalg::detail::axpy_rows_dispatch(coefs, xrow, len, p, out.data())) {
-      continue;
-    }
-#endif
-    for (std::size_t k = 0; k < len; ++k, xrow += p) {
-      linalg::axpy(coefs[k], {xrow, p}, out);
-    }
+    linalg::axpy_rows(coefs, xrow, len, p, out.data());
   }
 }
 

@@ -49,7 +49,7 @@ void TransportProvider::begin_iteration(std::size_t iteration,
 void TransportProvider::mark_dead(std::size_t worker) {
   COUPON_ASSERT(worker < num_workers_);
   if (alive_[worker] == 0) {
-    return;  // duplicate EOF (send failure already counted it)
+    return;  // already counted (a send failure, an EOF, a bad frame)
   }
   alive_[worker] = 0;
   ++workers_lost_;
@@ -67,12 +67,21 @@ bool TransportProvider::next_arrival(engine::ArrivalView& out) {
             : master_.recv();
     switch (event.status) {
       case comm::RecvStatus::kMessage: {
-        COUPON_ASSERT(event.message.tag == comm::kTagGradient);
-        if (event.message.iteration != iteration_) {
-          continue;  // stale reply from an iteration the master left early
+        // Index by the stream the frame arrived on: tag and source are
+        // bytes the peer wrote. A frame no healthy worker sends — a
+        // foreign tag, or another rank's name — ends the sender as a
+        // body `deserialize` rejects does, and so do its later frames.
+        const std::size_t worker = event.peer - 1;
+        if (event.message.tag != comm::kTagGradient ||
+            event.message.source != static_cast<std::int32_t>(event.peer)) {
+          mark_dead(worker);
+          continue;
         }
-        const auto worker = static_cast<std::size_t>(event.message.source) - 1;
-        COUPON_ASSERT(worker < num_workers_);
+        // Drop a dead sender's frames, and stale replies from an
+        // iteration the master left early.
+        if (alive_[worker] == 0 || event.message.iteration != iteration_) {
+          continue;
+        }
         if (replied_[worker] != 0) {
           continue;  // duplicate (cannot happen on a healthy stream)
         }

@@ -18,6 +18,10 @@
 ///    anyone: the stragglers' eventual replies are skipped as stale.
 ///  - Stale replies (iteration != current) are consumed and dropped, as
 ///    the threaded provider always did.
+///  - A frame with a foreign tag, or whose `source` is not the rank of
+///    the stream it arrived on, marks that stream's worker dead as an
+///    EOF would; a dead worker's later frames are dropped. The peer's
+///    bytes never choose which worker a reply counts for.
 
 #include <chrono>
 #include <cstdint>
@@ -63,8 +67,8 @@ class TransportProvider final : public engine::IterationProvider {
   }
 
  private:
-  /// Handles an EOF for `worker`: permanent death, adjusting this
-  /// iteration's expectation if it still owed a reply.
+  /// Handles an EOF or a hostile frame from `worker`: permanent death,
+  /// adjusting this iteration's expectation if it still owed a reply.
   void mark_dead(std::size_t worker);
 
   comm::Transport& master_;

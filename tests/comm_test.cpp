@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "comm/comm.hpp"
+#include "runtime/transport_provider.hpp"
 #include "stats/rng.hpp"
 #include "util/assert.hpp"
 
@@ -674,6 +675,88 @@ TEST_F(TcpTransportPeers, PeerStalledMidFrameHoldsBackNoOne) {
   EXPECT_EQ(master_->recv_for(std::chrono::milliseconds(100)).status,
             RecvStatus::kTimeout);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+// --- the master's arrival loop over hand-written worker frames ----------------
+
+/// Iteration 0's gradient reply as a worker claiming rank `source` would
+/// write it; `value` tells the replies apart.
+std::vector<std::uint8_t> reply_frame(std::int32_t source, double value,
+                                      std::int32_t tag = kTagGradient) {
+  Message m;
+  m.source = source;
+  m.dest = 0;
+  m.tag = tag;
+  m.iteration = 0;
+  m.payload = {value};
+  return frame_bytes(m);
+}
+
+/// Drains iteration 0's arrivals: worker index -> the payload it carried.
+std::map<std::size_t, double> drain(runtime::TransportProvider& provider) {
+  std::map<std::size_t, double> arrivals;
+  engine::ArrivalView arrival;
+  while (provider.next_arrival(arrival)) {
+    EXPECT_EQ(arrival.payload.size(), 1u);
+    arrivals[arrival.worker] = arrival.payload[0];
+  }
+  return arrivals;
+}
+
+/// A provider over the fixture's master that has broadcast iteration 0.
+std::unique_ptr<runtime::TransportProvider> provider_at_iteration_zero(
+    Transport& master, std::size_t workers) {
+  runtime::TransportProvider::Options options;
+  options.worker_timeout = std::chrono::milliseconds(5000);
+  auto provider = std::make_unique<runtime::TransportProvider>(
+      master, workers, options);
+  const std::vector<double> w = {0.5};
+  provider->begin_iteration(0, w);
+  return provider;
+}
+
+TEST_F(TcpTransportPeers, ForeignTagEndsOnlyItsSender) {
+  wire(2);
+  auto provider = provider_at_iteration_zero(*master_, 2);
+  write_bytes(0, reply_frame(1, 10.0, kTagHello));
+  write_bytes(1, reply_frame(2, 20.0));
+  const std::map<std::size_t, double> expected = {{1, 20.0}};
+  EXPECT_EQ(drain(*provider), expected);
+  EXPECT_FALSE(provider->worker_alive(0));
+  EXPECT_TRUE(provider->worker_alive(1));
+  EXPECT_EQ(provider->workers_lost(), 1u);
+  EXPECT_EQ(provider->timed_out_iterations(), 0u);
+}
+
+TEST_F(TcpTransportPeers, SourceZeroEndsOnlyItsSender) {
+  wire(2);
+  auto provider = provider_at_iteration_zero(*master_, 2);
+  write_bytes(0, reply_frame(0, 10.0));
+  write_bytes(1, reply_frame(2, 20.0));
+  const std::map<std::size_t, double> expected = {{1, 20.0}};
+  EXPECT_EQ(drain(*provider), expected);
+  EXPECT_FALSE(provider->worker_alive(0));
+  EXPECT_EQ(provider->workers_lost(), 1u);
+  EXPECT_EQ(provider->timed_out_iterations(), 0u);
+}
+
+TEST_F(TcpTransportPeers, ImpersonatedSourceCannotTakeAnotherWorkersSlot) {
+  wire(3);
+  auto provider = provider_at_iteration_zero(*master_, 3);
+  // Worker rank 1 claims rank 3, then sends its own reply, which must be
+  // dropped too: the first frame ended it.
+  std::vector<std::uint8_t> bytes = reply_frame(3, 10.0);
+  const std::vector<std::uint8_t> own = reply_frame(1, 11.0);
+  bytes.insert(bytes.end(), own.begin(), own.end());
+  write_bytes(0, bytes);
+  write_bytes(1, reply_frame(2, 20.0));
+  write_bytes(2, reply_frame(3, 30.0));
+  const std::map<std::size_t, double> expected = {{1, 20.0}, {2, 30.0}};
+  EXPECT_EQ(drain(*provider), expected);
+  EXPECT_FALSE(provider->worker_alive(0));
+  EXPECT_TRUE(provider->worker_alive(2));
+  EXPECT_EQ(provider->workers_lost(), 1u);
+  EXPECT_EQ(provider->timed_out_iterations(), 0u);
 }
 
 TEST(TcpTransport, RecvForSaturatesAHugeTimeout) {

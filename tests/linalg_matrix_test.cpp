@@ -1,15 +1,13 @@
-// Tests for Matrix and the GEMV/GEMM kernels.
+// Tests for Matrix and GEMV.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "linalg/gemm.hpp"
 #include "linalg/gemv.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coupon::linalg {
 namespace {
@@ -20,14 +18,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, stats::Rng& rng) {
     v = rng.normal();
   }
   return m;
-}
-
-std::vector<double> random_vector(std::size_t n, stats::Rng& rng) {
-  std::vector<double> v(n);
-  for (auto& x : v) {
-    x = rng.normal();
-  }
-  return v;
 }
 
 TEST(Matrix, InitializerListAndAccess) {
@@ -102,116 +92,6 @@ TEST(Gemv, DimensionMismatchAsserts) {
   const Matrix a(2, 3);
   std::vector<double> x(2), y(2);
   EXPECT_THROW(gemv(1.0, a, x, 0.0, y), coupon::AssertionError);
-}
-
-TEST(GemvTransposed, MatchesExplicitTranspose) {
-  stats::Rng rng(2);
-  const Matrix a = random_matrix(6, 4, rng);
-  const auto x = random_vector(6, rng);
-  std::vector<double> y1(4, 0.0), y2(4, 0.0);
-  gemv_transposed(1.5, a, x, 0.0, y1);
-  gemv(1.5, a.transposed(), x, 0.0, y2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(y1[i], y2[i], 1e-12);
-  }
-}
-
-TEST(GemvTransposed, BetaScalesExisting) {
-  const Matrix a = {{1.0}, {1.0}};
-  const std::vector<double> x = {1.0, 1.0};
-  std::vector<double> y = {10.0};
-  gemv_transposed(1.0, a, x, 2.0, y);  // y = A^T x + 2y = 2 + 20
-  EXPECT_DOUBLE_EQ(y[0], 22.0);
-}
-
-class GemvParallelTest : public ::testing::TestWithParam<
-                             std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(GemvParallelTest, MatchesSerial) {
-  const auto [rows, cols] = GetParam();
-  stats::Rng rng(3);
-  const Matrix a = random_matrix(rows, cols, rng);
-  const auto x = random_vector(cols, rng);
-  std::vector<double> y_serial(rows, 1.0), y_par(rows, 1.0);
-  gemv(0.7, a, x, -0.3, y_serial);
-  ThreadPool pool(4);
-  gemv_parallel(pool, 0.7, a, x, -0.3, y_par);
-  for (std::size_t i = 0; i < rows; ++i) {
-    EXPECT_NEAR(y_par[i], y_serial[i], 1e-12) << "row " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, GemvParallelTest,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
-                      std::pair<std::size_t, std::size_t>{3, 5},
-                      std::pair<std::size_t, std::size_t>{64, 64},
-                      std::pair<std::size_t, std::size_t>{200, 400},
-                      std::pair<std::size_t, std::size_t>{1000, 300}));
-
-Matrix naive_matmul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) {
-        s += a(i, k) * b(k, j);
-      }
-      c(i, j) = s;
-    }
-  }
-  return c;
-}
-
-class GemmTest : public ::testing::TestWithParam<
-                     std::tuple<std::size_t, std::size_t, std::size_t>> {};
-
-TEST_P(GemmTest, MatchesNaiveTripleLoop) {
-  const auto [m, k, n] = GetParam();
-  stats::Rng rng(4);
-  const Matrix a = random_matrix(m, k, rng);
-  const Matrix b = random_matrix(k, n, rng);
-  const Matrix expected = naive_matmul(a, b);
-  const Matrix actual = matmul(a, b);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(actual(i, j), expected(i, j), 1e-10);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, GemmTest,
-    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
-                      std::make_tuple(63, 65, 64), std::make_tuple(64, 64, 64),
-                      std::make_tuple(100, 7, 129)));
-
-TEST(Gemm, AlphaBetaComposition) {
-  const Matrix a = {{1.0, 0.0}, {0.0, 1.0}};
-  const Matrix b = {{2.0, 0.0}, {0.0, 2.0}};
-  Matrix c = {{1.0, 1.0}, {1.0, 1.0}};
-  gemm(3.0, a, b, 10.0, c);  // c = 3*I*2I + 10*ones
-  EXPECT_DOUBLE_EQ(c(0, 0), 16.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 16.0);
-}
-
-TEST(Gemm, IdentityIsNeutral) {
-  stats::Rng rng(5);
-  const Matrix a = random_matrix(5, 5, rng);
-  const Matrix prod = matmul(a, Matrix::identity(5));
-  EXPECT_EQ(prod.rows(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      EXPECT_NEAR(prod(i, j), a(i, j), 1e-14);
-    }
-  }
-}
-
-TEST(Gemm, DimensionMismatchAsserts) {
-  const Matrix a(2, 3), b(4, 2);
-  Matrix c(2, 2);
-  EXPECT_THROW(gemm(1.0, a, b, 0.0, c), coupon::AssertionError);
 }
 
 }  // namespace

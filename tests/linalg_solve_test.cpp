@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/gemm.hpp"
 #include "linalg/gemv.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
@@ -28,6 +27,19 @@ std::vector<double> random_vector(std::size_t n, stats::Rng& rng) {
     x = rng.normal();
   }
   return v;
+}
+
+/// Reference A * B by the textbook triple loop.
+Matrix matmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        c(i, j) += a(i, k) * b(k, j);
+      }
+    }
+  }
+  return c;
 }
 
 // --- LU ----------------------------------------------------------------------
@@ -142,7 +154,11 @@ TEST(Lstsq, ResidualIsOrthogonalToColumnSpace) {
   std::vector<double> r(b.begin(), b.end());
   gemv(1.0, a, *x, -1.0, r);
   std::vector<double> atr(6, 0.0);
-  gemv_transposed(1.0, a, r, 0.0, atr);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      atr[j] += a(i, j) * r[i];
+    }
+  }
   EXPECT_LT(max_abs(atr), 1e-9);
 }
 

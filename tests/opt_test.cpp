@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
@@ -18,6 +21,33 @@ data::Dataset tiny_dataset() {
   d.x = {{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.5}, {0.5, -1.0}};
   d.y = {1.0, -1.0, 1.0, -1.0};
   return d;
+}
+
+/// A dataset from the paper's model whose example count is a multiple of
+/// neither the row kernels' four-row pass nor the 64-example block, with
+/// a random query point.
+struct OddShape {
+  data::Dataset dataset;
+  std::vector<double> w;
+};
+
+OddShape odd_shape(std::size_t p, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  data::SyntheticConfig config;
+  config.num_features = p;
+  OddShape shape{data::generate_logreg(203, config, rng).dataset,
+                 std::vector<double>(p)};
+  for (auto& v : shape.w) {
+    v = rng.normal();
+  }
+  return shape;
+}
+
+constexpr std::size_t kOddFeatureCounts[] = {8, 20, 37, 100};
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // --- numerics ------------------------------------------------------------------
@@ -79,6 +109,41 @@ TEST(PartialGradientSum, SumOfPartialsEqualsFullTimesM) {
   EXPECT_LT(linalg::max_abs_diff(full, sum), 1e-12);
 }
 
+TEST(PartialGradientSum, LogisticGradientMatchesIndexFormBitwise) {
+  for (const std::size_t p : kOddFeatureCounts) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const OddShape shape = odd_shape(p, 70 + p);
+    const std::size_t m = shape.dataset.num_examples();
+    std::vector<std::size_t> all(m);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<double> index_form(p);
+    partial_gradient_sum(shape.dataset, all, shape.w, index_form);
+    linalg::scal(1.0 / static_cast<double>(m), index_form);
+    std::vector<double> full(p);
+    logistic_gradient(shape.dataset, shape.w, full);
+    EXPECT_TRUE(same_bits(full, index_form));
+  }
+}
+
+TEST(PartialGradientSum, RangeFormMatchesIndexFormBitwise) {
+  for (const std::size_t p : kOddFeatureCounts) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const OddShape shape = odd_shape(p, 80 + p);
+    // A range that starts mid-block and spans several blocks.
+    const std::size_t first = 5;
+    const std::size_t count = 150;
+    std::vector<std::size_t> indices(count);
+    std::iota(indices.begin(), indices.end(), first);
+    std::vector<double> index_form(p, 0.25);
+    std::vector<double> range_form(p, 0.25);
+    partial_gradient_sum(shape.dataset, indices, shape.w, index_form,
+                         /*accumulate=*/true);
+    partial_gradient_range(shape.dataset, first, count, shape.w, range_form,
+                           /*accumulate=*/true);
+    EXPECT_TRUE(same_bits(range_form, index_form));
+  }
+}
+
 TEST(PartialGradientSum, AccumulateFlagAdds) {
   const auto d = tiny_dataset();
   const std::vector<double> w = {0.1, 0.2};
@@ -98,6 +163,24 @@ TEST(PartialGradientSum, EmptyIndexSetGivesZero) {
   partial_gradient_sum(d, {}, w, out, /*accumulate=*/false);
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_DOUBLE_EQ(out[1], 0.0);
+}
+
+TEST(LogisticLoss, MatchesOnePassLoopBitwise) {
+  for (const std::size_t p : kOddFeatureCounts) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const OddShape shape = odd_shape(p, 90 + p);
+    const data::Dataset& d = shape.dataset;
+    // The reference: one pass, each example's dot then its log1p_exp.
+    double total = 0.0;
+    for (std::size_t j = 0; j < d.num_examples(); ++j) {
+      const double margin = d.y[j] * linalg::dot(d.x.row(j), shape.w);
+      total += log1p_exp(-margin);
+    }
+    const double reference = total / static_cast<double>(d.num_examples());
+    const double loss = logistic_loss(d, shape.w);
+    EXPECT_EQ(std::memcmp(&loss, &reference, sizeof(double)), 0)
+        << loss << " vs " << reference;
+  }
 }
 
 TEST(Accuracy, PerfectAndWorstCase) {
