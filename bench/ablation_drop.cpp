@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto iterations =
       static_cast<std::size_t>(flags.get_int("iterations"));
 
-  const auto base = coupon::simulate::ec2_scenario_one();
+  const auto base = coupon::driver::ec2_scenario_one();
   const std::vector<double> drops = {0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4};
 
   // Publish the drop axis as scenarios: this is all it takes to add a
@@ -55,18 +55,16 @@ int main(int argc, char** argv) {
     plan.scenarios.push_back(name);
   }
 
-  plan.base.num_workers = base.num_workers;
-  plan.base.num_units = base.num_units;
-  plan.base.load = base.load;
-  plan.base.seed = base.seed;
+  plan.base = base;
   plan.base.iterations = iterations;
   plan.base.record_trace = false;  // summary table only
   plan.schemes = {"uncoded", "cr", "fr", "bcc"};
 
   const auto records = coupon::driver::run_sweep(plan);
 
-  std::printf("Message-drop ablation — %s, %zu iterations per point, "
-              "r = %zu\n\n", base.name.c_str(), iterations, base.load);
+  std::printf("Message-drop ablation — scenario one (n=%zu, m=%zu "
+              "batches), %zu iterations per point, r = %zu\n\n",
+              base.num_workers, base.num_units, iterations, base.load);
   coupon::AsciiTable table({"drop prob", "uncoded failed", "CR failed",
                             "FR failed", "BCC failed"});
   // Cell order is scheme-major, scenario-minor:

@@ -31,12 +31,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto base = coupon::simulate::ec2_scenario_one();
   coupon::driver::SweepPlan plan;
-  plan.base.num_workers = base.num_workers;
-  plan.base.num_units = base.num_units;
-  plan.base.load = base.load;
-  plan.base.seed = base.seed;
+  plan.base = coupon::driver::ec2_scenario_one();
   plan.base.iterations =
       static_cast<std::size_t>(flags.get_int("iterations"));
   plan.base.record_trace = false;  // summary table only

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "driver/driver.hpp"
@@ -38,10 +39,12 @@ int main(int argc, char** argv) {
   const auto placements =
       static_cast<std::size_t>(flags.get_int("placements"));
 
-  for (const auto& base : {coupon::simulate::ec2_scenario_one(),
-                           coupon::simulate::ec2_scenario_two()}) {
+  const std::pair<const char*, coupon::driver::ExperimentConfig> scenarios[] =
+      {{"scenario one", coupon::driver::ec2_scenario_one()},
+       {"scenario two", coupon::driver::ec2_scenario_two()}};
+  for (const auto& [name, base] : scenarios) {
     coupon::driver::SweepPlan plan;
-    plan.base = coupon::driver::config_from_sim_scenario(base);
+    plan.base = base;
     plan.base.iterations = iterations;
     plan.base.record_trace = false;  // summary table only
     plan.schemes = {"bcc", "cr"};
@@ -56,8 +59,10 @@ int main(int argc, char** argv) {
 
     const auto records = coupon::driver::run_sweep(plan);
 
-    std::printf("r sweep — %s, %zu iterations x %zu placements\n\n",
-                base.name.c_str(), iterations, placements);
+    std::printf("r sweep — %s (n=%zu, m=%zu batches), %zu iterations x "
+                "%zu placements\n\n",
+                name, base.num_workers, base.num_units, iterations,
+                placements);
     coupon::AsciiTable table({"r", "BCC K", "BCC total (s)", "BCC pred (s)",
                               "BCC failed", "CR K", "CR total (s)",
                               "CR pred (s)"});

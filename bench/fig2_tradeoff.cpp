@@ -28,7 +28,6 @@
 #include "core/core.hpp"
 #include "core/scheme_registry.hpp"
 #include "simulate/cluster_sim.hpp"
-#include "simulate/experiment.hpp"
 #include "stats/rng.hpp"
 #include "util/util.hpp"
 

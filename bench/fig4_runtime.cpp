@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
   std::printf("Fig. 4 — total running time, uncoded vs cyclic repetition "
               "vs BCC (simulated EC2 cluster)\n\n");
 
-  for (const auto& scenario : {coupon::simulate::ec2_scenario_one(),
-                               coupon::simulate::ec2_scenario_two()}) {
+  for (const auto& scenario : {coupon::driver::ec2_scenario_one(),
+                               coupon::driver::ec2_scenario_two()}) {
     coupon::driver::SweepPlan plan;
-    plan.base = coupon::driver::config_from_sim_scenario(scenario);
+    plan.base = scenario;
     plan.base.iterations =
         static_cast<std::size_t>(flags.get_int("iterations"));
     plan.base.record_trace = false;  // bar-chart summary only

@@ -33,7 +33,6 @@
 #include "engine/engine.hpp"
 #include "opt/opt.hpp"
 #include "simulate/cluster_sim.hpp"
-#include "simulate/experiment.hpp"
 #include "stats/rng.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   }
 
   coupon::driver::SweepPlan plan;
-  plan.base = coupon::driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
+  plan.base = coupon::driver::ec2_scenario_one();
   plan.base.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
   plan.base.record_trace = false;  // summary table + CSV only
   plan.schemes = {"uncoded", "cr", "bcc"};

@@ -109,6 +109,40 @@ run "${BUILD_DIR}/tools/coupon_run" --scheme uncoded \
     --iterations 4 --out "${TMP_DIR}/trace_run.csv"
 test -s "${TMP_DIR}/trace_run.csv"
 
+# --- user errors ---------------------------------------------------------
+# A bad count or load must end in a message and exit 1: not a crash (136
+# is SIGFPE) and not a run that wraps a negative count and hangs until
+# the timeout (124). stderr must name what was wrong.
+expect_error() {
+  local pattern="$1"
+  shift
+  echo "==> (expect exit 1, stderr ~ '${pattern}') $*"
+  local status=0
+  timeout 10 "$@" > /dev/null 2> "${TMP_DIR}/err.txt" || status=$?
+  test "${status}" -eq 1
+  grep -q -- "${pattern}" "${TMP_DIR}/err.txt"
+}
+expect_error "r >= 1" "${BUILD_DIR}/tools/coupon_run" --scheme gc_nested \
+    --workers 4 --units 4 --load 0 --iterations 2
+expect_error "--iterations must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
+    --sweep --schemes bcc --workers 4 --units 4 --load 2 --iterations -1 \
+    --threads 1
+expect_error "--iterations must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
+    --iterations -1
+expect_error "--workers must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
+    --predict --scheme bcc --workers -3
+expect_error "--threads must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
+    --sweep --schemes bcc --iterations 2 --threads -1
+# A zero load is a ranked-table footnote, not a crash.
+echo "==> coupon_run --predict --scheme all --loads 0"
+timeout 10 "${BUILD_DIR}/tools/coupon_run" --predict --scheme all --loads 0 \
+    > "${TMP_DIR}/predict_r0.txt"
+sed -n '/not predictable/,$p' "${TMP_DIR}/predict_r0.txt" | grep -q "gc_nested"
+# Without an n or m axis, a sweep takes m from --units, as a single run does.
+run timeout 10 "${BUILD_DIR}/tools/coupon_run" --sweep --schemes bcc \
+    --workers 50 --units 60 --iterations 2 --out "${TMP_DIR}/units.csv"
+test "$(tail -1 "${TMP_DIR}/units.csv" | cut -d, -f5)" = 60
+
 # --- benches -------------------------------------------------------------
 run "${BUILD_DIR}/bench/bench_ablation_coverage" --trials 200
 run "${BUILD_DIR}/bench/bench_ablation_drop" --iterations 10

@@ -116,8 +116,8 @@ SchemeRegistry::SchemeRegistry() {
        .factory = [](const SchemeConfig& c, stats::Rng&) {
          COUPON_ASSERT_MSG(c.num_units == c.num_workers,
                            "gc_nested requires m == n (use super-examples)");
-         COUPON_ASSERT_MSG(c.num_workers % c.load == 0,
-                           "gc_nested requires r | n");
+         COUPON_ASSERT_MSG(c.load >= 1 && c.num_workers % c.load == 0,
+                           "gc_nested requires r >= 1 and r | n");
          return std::make_unique<GcNestedScheme>(c.num_workers, c.load);
        }});
 }

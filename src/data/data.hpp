@@ -5,6 +5,5 @@
 
 #include "data/batching.hpp"  // IWYU pragma: export
 #include "data/dataset.hpp"   // IWYU pragma: export
-#include "data/io.hpp"        // IWYU pragma: export
 #include "data/placement.hpp" // IWYU pragma: export
 #include "data/synthetic.hpp" // IWYU pragma: export

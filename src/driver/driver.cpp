@@ -1,5 +1,6 @@
 #include "driver/driver.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -10,15 +11,22 @@
 
 namespace coupon::driver {
 
-ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s) {
+ExperimentConfig ec2_scenario_one() {
   ExperimentConfig config;
-  config.num_workers = s.num_workers;
-  config.num_units = s.num_units;
-  config.load = s.load;
-  config.iterations = s.iterations;
-  config.seed = s.seed;
-  config.cluster_override =
-      std::make_shared<const simulate::ClusterConfig>(s.cluster);
+  config.scenario = "shifted_exp";
+  config.num_workers = 50;
+  config.num_units = 50;
+  config.load = 10;
+  config.iterations = 100;
+  config.seed = 0xEC2001;
+  return config;
+}
+
+ExperimentConfig ec2_scenario_two() {
+  ExperimentConfig config = ec2_scenario_one();
+  config.num_workers = 100;
+  config.num_units = 100;
+  config.seed = 0xEC2002;
   return config;
 }
 
@@ -118,14 +126,26 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
     return std::nullopt;
   }
 
-  config.num_workers = static_cast<std::size_t>(flags.get_int("workers"));
-  config.num_units = static_cast<std::size_t>(flags.get_int("units"));
-  config.load = static_cast<std::size_t>(flags.get_int("load"));
-  config.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+  // Counts are size_t: a negative value would wrap to a huge one, so it
+  // is rejected here, naming the flag. --seed takes any 64-bit value.
+  bool counts_valid = true;
+  const auto count = [&](const char* name) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < 0) {
+      std::fprintf(stderr, "--%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(value));
+      counts_valid = false;
+      return std::size_t{0};
+    }
+    return static_cast<std::size_t>(value);
+  };
+  config.num_workers = count("workers");
+  config.num_units = count("units");
+  config.load = count("load");
+  config.iterations = count("iterations");
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.features = static_cast<std::size_t>(flags.get_int("features"));
-  config.examples_per_unit =
-      static_cast<std::size_t>(flags.get_int("examples_per_unit"));
+  config.features = count("features");
+  config.examples_per_unit = count("examples_per_unit");
   config.learning_rate = flags.get_double("learning_rate");
   config.lr_decay = flags.get_double("lr_decay");
   if (flags.get_double("target_loss") > 0.0) {
@@ -139,8 +159,10 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   if (crash_worker >= 0) {
     config.crash_worker = static_cast<std::size_t>(crash_worker);
   }
-  config.crash_iteration =
-      static_cast<std::size_t>(flags.get_int("crash_iteration"));
+  config.crash_iteration = count("crash_iteration");
+  if (!counts_valid) {
+    return std::nullopt;
+  }
 
   try {
     config.runtime = check_runnable(config).name;  // canonicalize aliases

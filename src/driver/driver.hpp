@@ -16,21 +16,20 @@
 #include "driver/record.hpp"
 #include "driver/runtime.hpp"
 #include "driver/scenario_registry.hpp"
-#include "simulate/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace coupon::driver {
 
-/// Builds a driver config from a canonical simulate scenario definition
-/// (simulate::ec2_scenario_one/two), copying n, m, r, iterations, seed —
-/// so the paper's Table I/II parameters stay single-sourced — AND the
-/// scenario's cluster model, carried through as `cluster_override`.
-/// Callers holding a ScenarioConfig with a customized `cluster` (e.g. the
-/// ablation benches' drop/bandwidth sweeps) therefore get their overrides
-/// honoured by the simulated runtime instead of silently discarded; the
-/// threaded runtime rejects such configs loudly.
-ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s);
+/// Scenario one of the paper's EC2 experiments (Section III-C, Table I):
+/// n = m = 50 (data batches of 100 points), r = 10 for the coded
+/// schemes, 100 iterations, on the "shifted_exp" scenario, whose cluster
+/// is simulate::ec2_cluster(). Seed 0xEC2001.
+ExperimentConfig ec2_scenario_one();
+
+/// Scenario two (Table II): as scenario one with n = m = 100. Seed
+/// 0xEC2002.
+ExperimentConfig ec2_scenario_two();
 
 /// Registers the driver's shared flags (--scheme, --scenario, --runtime,
 /// --workers, --units, --load, --iterations, --seed, --on_failure, and

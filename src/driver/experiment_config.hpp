@@ -48,12 +48,12 @@ struct ExperimentConfig {
   bool record_trace = true;
 
   /// When set, replaces the named scenario's simulator cluster model —
-  /// the carrier for callers holding a customized simulate cluster (e.g.
-  /// `config_from_sim_scenario`, the ablation benches' drop/bandwidth
-  /// sweeps). Simulated runtime only: the threaded runtime fails loudly
-  /// on a set override instead of silently ignoring it. (A shared_ptr so
-  /// this header needs no simulator includes; the pointee is never
-  /// mutated after construction.)
+  /// the carrier for callers with a custom simulated cluster (e.g.
+  /// examples/compare_schemes' flags, bench/ablation_master_bw's
+  /// bandwidth sweep). Simulated runtime only: the threaded runtime
+  /// fails loudly on a set override instead of silently ignoring it. (A
+  /// shared_ptr so this header needs no simulator includes; the pointee
+  /// is never mutated after construction.)
   std::shared_ptr<const simulate::ClusterConfig> cluster_override;
 
   // --- training workload (threaded runtime always trains; the simulated

@@ -5,7 +5,6 @@
 #include <iostream>
 #include <memory>
 
-#include "simulate/experiment.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -60,12 +59,11 @@ std::string optional_field(const std::optional<double>& value, int digits) {
 }  // namespace
 
 const std::vector<std::string>& trace_csv_header() {
-  static const std::vector<std::string> header = [] {
-    std::vector<std::string> h = {"scheme", "scenario", "runtime"};
-    const auto& trace = simulate::iteration_csv_header();
-    h.insert(h.end(), trace.begin(), trace.end());
-    return h;
-  }();
+  static const std::vector<std::string> header = {
+      "scheme",        "scenario",       "runtime",
+      "iteration",     "total_time",     "compute_time",
+      "comm_time",     "workers_heard",  "units_received",
+      "recovered"};
   return header;
 }
 
@@ -90,12 +88,13 @@ void CsvTraceSink::write(const RunRecord& record) {
     header_written_ = true;
   }
   for (std::size_t t = 0; t < record.trace.size(); ++t) {
-    std::vector<std::string> row = {record.scheme, record.scenario,
-                                    record.runtime};
-    auto fields = simulate::iteration_csv_fields(t, record.trace[t]);
-    row.insert(row.end(), std::make_move_iterator(fields.begin()),
-               std::make_move_iterator(fields.end()));
-    csv.row(row);
+    const auto& it = record.trace[t];
+    csv.row({record.scheme, record.scenario, record.runtime,
+             std::to_string(t), format_double(it.total_time, 9),
+             format_double(it.compute_time, 9),
+             format_double(it.comm_time, 9),
+             std::to_string(it.workers_heard),
+             format_double(it.units_received, 3), it.recovered ? "1" : "0"});
   }
 }
 

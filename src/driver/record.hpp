@@ -88,8 +88,9 @@ class RecordSink {
   virtual void write(const RunRecord& record) = 0;
 };
 
-/// Column names of the per-iteration trace CSV:
-/// scheme,scenario,runtime + simulate::iteration_csv_header().
+/// Column names of the per-iteration trace CSV: scheme,scenario,runtime,
+/// iteration,total_time,compute_time,comm_time,workers_heard,
+/// units_received,recovered.
 const std::vector<std::string>& trace_csv_header();
 
 /// Column names of the one-row-per-record summary CSV.

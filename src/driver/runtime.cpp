@@ -220,8 +220,7 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
       config.scenario, config.num_workers);
   RunRecord record = identity_record(config, name());
 
-  // The footgun fix: a caller-supplied cluster model (e.g. from
-  // config_from_sim_scenario) wins over the named scenario's.
+  // A caller-supplied cluster model wins over the named scenario's.
   const simulate::ClusterConfig& cluster =
       config.cluster_override ? *config.cluster_override : scenario.cluster;
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "simulate/experiment.hpp"
 #include "simulate/latency_model.hpp"
 #include "util/names.hpp"
 

@@ -244,58 +244,6 @@ bool lstsq_into(const Matrix& a, std::span<const double> b,
   return qr_solve_inplace(ws.qr, ws.tau, b, ws.y, x);
 }
 
-std::optional<Matrix> cholesky(const Matrix& a) {
-  COUPON_ASSERT(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix l(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) {
-        s -= l(i, k) * l(j, k);
-      }
-      if (i == j) {
-        if (s <= 0.0) {
-          return std::nullopt;  // not positive definite
-        }
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
-std::optional<std::vector<double>> cholesky_solve(const Matrix& a,
-                                                  std::span<const double> b) {
-  auto lopt = cholesky(a);
-  if (!lopt) {
-    return std::nullopt;
-  }
-  const Matrix& l = *lopt;
-  const std::size_t n = l.rows();
-  COUPON_ASSERT(b.size() == n);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      s -= l(i, j) * y[j];
-    }
-    y[i] = s / l(i, i);
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      s -= l(j, i) * x[j];
-    }
-    x[i] = s / l(i, i);
-  }
-  return x;
-}
-
 double residual_norm(const Matrix& a, std::span<const double> x,
                      std::span<const double> b) {
   COUPON_ASSERT(x.size() == a.cols() && b.size() == a.rows());

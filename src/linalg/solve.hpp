@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file solve.hpp
-/// Dense direct solvers: partial-pivot LU, Householder QR least squares,
-/// and Cholesky.
+/// Dense direct solvers: partial-pivot LU and Householder QR least
+/// squares.
 ///
 /// The cyclic-repetition gradient-coding decoder (core/cyclic_repetition)
 /// recovers the all-ones combination by solving the overdetermined system
@@ -71,14 +71,6 @@ struct LstsqWorkspace {
 /// false when A is numerically rank deficient.
 bool lstsq_into(const Matrix& a, std::span<const double> b,
                 std::span<double> x, LstsqWorkspace& ws);
-
-/// Cholesky factorization A = L L^T of a symmetric positive-definite
-/// matrix (lower triangle returned). Returns nullopt if not SPD.
-std::optional<Matrix> cholesky(const Matrix& a);
-
-/// Solves A x = b for SPD A via Cholesky. Returns nullopt if not SPD.
-std::optional<std::vector<double>> cholesky_solve(const Matrix& a,
-                                                  std::span<const double> b);
 
 /// ||A x - b||_2 — residual helper shared by tests and the CR decoder.
 double residual_norm(const Matrix& a, std::span<const double> x,

@@ -41,13 +41,28 @@ struct ClusterConfig {
   LatencyModelFactory latency_model;
 };
 
+/// The EC2 calibration of the paper's two scenarios (Section III-C), and
+/// the cluster of the driver's "shifted_exp" scenario: per-unit compute
+/// and master-ingress times in the regime the paper reports for t2.micro
+/// instances, where communication dominates computation by an order of
+/// magnitude. bench/ablation_master_bw sweeps the ingress time: the
+/// BCC < CR < uncoded ranking holds from half of it up.
+inline ClusterConfig ec2_cluster() {
+  ClusterConfig c;
+  c.compute_shift = 1.0e-3;          // 1 ms deterministic compute per unit
+  c.compute_straggle = 950.0;        // tail scale load/mu ~ 10.5 ms at r=10
+  c.unit_transfer_seconds = 3.2e-3;  // 3.2 ms to receive one gradient
+  c.broadcast_seconds = 0.0;
+  return c;
+}
+
 /// Validates the cluster knobs for an `num_workers`-worker simulation:
 /// compute_shift/broadcast_seconds/unit_transfer_seconds >= 0,
 /// compute_straggle > 0, drop_probability in [0, 1], and worker_overrides
 /// empty or exactly one valid entry per worker. Throws
 /// coupon::AssertionError with the offending knob and value instead of
 /// letting a bad config silently produce NaN or degenerate traces.
-/// Called by simulate_iteration/simulate_run on entry.
+/// Called by `make_latency_model`, so every run validates on entry.
 void validate_cluster_config(const ClusterConfig& config,
                              std::size_t num_workers);
 

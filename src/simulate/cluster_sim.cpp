@@ -256,13 +256,4 @@ RunReport simulate_run(const core::Scheme& scheme,
   return run;
 }
 
-RunReport simulate_run(const core::Scheme& scheme,
-                       const ClusterConfig& config, std::size_t iterations,
-                       stats::Rng& rng) {
-  RunOptions options;
-  options.iterations = iterations;
-  options.record_trace = true;
-  return simulate_run(scheme, config, options, rng);
-}
-
 }  // namespace coupon::simulate

@@ -64,8 +64,7 @@ namespace coupon::simulate {
 /// Aggregates over a multi-iteration run.
 struct RunReport {
   /// Per-iteration reports — populated only when the run was executed
-  /// with `RunOptions::record_trace` (the legacy iteration-count overload
-  /// of `simulate_run` records it for back-compat).
+  /// with `RunOptions::record_trace`.
   std::vector<IterationReport> iterations;
   double total_time = 0.0;
   double total_compute_time = 0.0;
@@ -251,10 +250,5 @@ IterationReport simulate_iteration(const core::Scheme& scheme,
 /// `options.record_trace` is set.
 RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
                        const RunOptions& options, stats::Rng& rng);
-
-/// Back-compat overload: `iterations` iterations WITH the per-iteration
-/// trace recorded (the historical behaviour of this signature).
-RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
-                       std::size_t iterations, stats::Rng& rng);
 
 }  // namespace coupon::simulate

@@ -4,5 +4,4 @@
 /// Umbrella header for the simulate module.
 
 #include "simulate/cluster_sim.hpp"   // IWYU pragma: export
-#include "simulate/experiment.hpp"    // IWYU pragma: export
 #include "simulate/latency_model.hpp" // IWYU pragma: export

@@ -16,25 +16,6 @@ void OnlineStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double OnlineStats::variance() const {
   if (count_ < 2) {
     return 0.0;
@@ -51,20 +32,6 @@ double OnlineStats::sem() const {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double quantile(std::vector<double> samples, double q) {
-  COUPON_ASSERT(!samples.empty());
-  COUPON_ASSERT(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) {
-    return samples[0];
-  }
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
 double ks_distance(std::vector<double> samples,
                    const std::function<double(double)>& cdf) {
   COUPON_ASSERT(!samples.empty());
@@ -78,35 +45,6 @@ double ks_distance(std::vector<double> samples,
     d = std::max({d, std::abs(f - lo), std::abs(f - hi)});
   }
   return d;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  COUPON_ASSERT(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  raw_.push_back(x);
-  ++total_;
-}
-
-double Histogram::edge(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::tail_fraction(double x) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  const auto count = static_cast<double>(
-      std::count_if(raw_.begin(), raw_.end(), [x](double v) { return v >= x; }));
-  return count / static_cast<double>(total_);
 }
 
 }  // namespace coupon::stats

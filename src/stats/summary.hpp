@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file summary.hpp
-/// Streaming and batch summary statistics for experiment results.
+/// Streaming summary statistics for experiment results.
 
 #include <cstddef>
 #include <functional>
@@ -15,9 +15,6 @@ class OnlineStats {
  public:
   /// Adds one observation.
   void add(double x);
-
-  /// Merges another accumulator (parallel reduction).
-  void merge(const OnlineStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return mean_; }
@@ -37,38 +34,11 @@ class OnlineStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Returns the `q`-quantile (0 <= q <= 1) of `samples` using linear
-/// interpolation between order statistics. Copies and sorts internally.
-double quantile(std::vector<double> samples, double q);
-
 /// One-sample Kolmogorov–Smirnov statistic: the sup-distance between the
 /// empirical CDF of `samples` and the reference `cdf`. Used by the tests
 /// to validate that simulated latencies follow the Eq. 15 model (a KS
 /// distance ~ 1.36/sqrt(n) is the 95% acceptance line for n samples).
 double ks_distance(std::vector<double> samples,
                    const std::function<double(double)>& cdf);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the first/last bucket. Used by the latency benches to print tails.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
-  std::size_t total() const { return total_; }
-  /// Lower edge of bucket `i`.
-  double edge(std::size_t i) const;
-  /// Fraction of observations at or above `x` (empirical tail).
-  double tail_fraction(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::vector<double> raw_;  // kept for exact tail queries
-  std::size_t total_ = 0;
-};
 
 }  // namespace coupon::stats

@@ -53,53 +53,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t serial_threshold) {
-  parallel_for_chunks(
-      pool, begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          body(i);
-        }
-      },
-      serial_threshold);
-}
-
-void parallel_for_chunks(
-    ThreadPool& pool, std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t serial_threshold) {
-  COUPON_ASSERT(begin <= end);
-  const std::size_t total = end - begin;
-  if (total == 0) {
-    return;
-  }
-  if (total <= serial_threshold || pool.size() <= 1) {
-    body(begin, end);
-    return;
-  }
-  const std::size_t chunks = std::min(pool.size(), total);
-  const std::size_t base = total / chunks;
-  const std::size_t extra = total % chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t lo = begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t hi = lo + len;
-    futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
-    lo = hi;
-  }
-  COUPON_ASSERT(lo == end);
-  for (auto& f : futures) {
-    f.get();  // rethrows any exception from the chunk body
-  }
-}
-
 }  // namespace coupon

@@ -1,12 +1,11 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Fixed-size worker pool with a blocking task queue, plus a
-/// `parallel_for` helper used by the linalg kernels.
+/// Fixed-size worker pool with a blocking task queue.
 ///
-/// The pool is deliberately simple (mutex + condition variable); the
-/// library's parallel sections are coarse-grained (row blocks of GEMV/GEMM,
-/// per-worker gradient computation), so queue contention is negligible.
+/// The pool is deliberately simple (mutex + condition variable); its one
+/// production user, `driver::run_sweep`, submits one whole experiment
+/// cell per task, so queue contention is negligible.
 
 #include <condition_variable>
 #include <cstddef>
@@ -37,11 +36,6 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return threads_.size(); }
 
-  /// A process-wide pool sized to the hardware concurrency. Intended for
-  /// the linalg kernels; long-running blocking work should use its own
-  /// threads (see runtime::ThreadCluster).
-  static ThreadPool& shared();
-
  private:
   void worker_loop();
 
@@ -51,18 +45,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Runs `body(i)` for i in [begin, end) across `pool`, splitting the range
-/// into one contiguous chunk per thread. Blocks until all chunks finish.
-/// Falls back to a serial loop when the range is small.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t serial_threshold = 1024);
-
-/// Chunked variant: `body(chunk_begin, chunk_end)` once per chunk. Useful
-/// when the per-index work is tiny and the body can vectorize internally.
-void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         std::size_t serial_threshold = 1024);
 
 }  // namespace coupon

@@ -35,7 +35,6 @@
 #include "driver/driver.hpp"
 #include "driver/predict.hpp"
 #include "simulate/cluster_sim.hpp"
-#include "simulate/experiment.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 
@@ -635,7 +634,8 @@ TEST(AnalyticPredictor, RankingMatchesMeasuredOrderOnScenarioOne) {
   // Paper Table I grid: n = m = 50, r = 10, schemes uncoded / cr / bcc.
   // The predicted E[T] ordering must match the measured ordering of
   // 400-iteration simulated runs built with identical seeding.
-  const auto scenario = coupon::simulate::ec2_scenario_one();
+  const auto scenario = coupon::driver::ec2_scenario_one();
+  const auto cluster = coupon::simulate::ec2_cluster();
   constexpr std::size_t kIterations = 400;
   std::vector<std::pair<std::string, double>> measured;
   std::vector<std::pair<std::string, double>> predicted;
@@ -646,13 +646,12 @@ TEST(AnalyticPredictor, RankingMatchesMeasuredOrderOnScenarioOne) {
     coupon::analytic::PredictOptions options;
     options.quantiles = false;
     std::string reason;
-    const auto prediction = coupon::analytic::predict(*scheme,
-                                                      scenario.cluster,
-                                                      options, &reason);
+    const auto prediction =
+        coupon::analytic::predict(*scheme, cluster, options, &reason);
     ASSERT_TRUE(prediction.has_value()) << name << ": " << reason;
     predicted.emplace_back(name, prediction->expected_time);
     const auto sim =
-        run_sim(*scheme, scenario.cluster, kIterations, scenario.seed);
+        run_sim(*scheme, cluster, kIterations, scenario.seed);
     measured.emplace_back(name, sim.time.mean());
   }
   const auto by_time = [](const auto& a, const auto& b) {
@@ -708,8 +707,7 @@ TEST(DriverPredict, AutoResolvesToTheRankedBestOnScenarioOne) {
   // its deterministic block replication covers slightly better than
   // BCC's random batch choices at equal load (and far better than the
   // wait-for-all schemes). "auto" must agree with the ranking's head.
-  const auto config = coupon::driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
+  const auto config = coupon::driver::ec2_scenario_one();
   const std::string picked = coupon::driver::resolve_auto_scheme(config);
   EXPECT_EQ(picked, "fr");
   auto all = config;
@@ -721,8 +719,7 @@ TEST(DriverPredict, AutoResolvesToTheRankedBestOnScenarioOne) {
 }
 
 TEST(DriverPredict, UnknownSchemeGetsDidYouMean) {
-  auto config = coupon::driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
+  auto config = coupon::driver::ec2_scenario_one();
   config.scheme = "bbc";  // plausible typo for "bcc"
   const auto report = coupon::driver::predict_report(
       config, coupon::driver::predict_candidates(config, {}),
@@ -735,8 +732,7 @@ TEST(DriverPredict, UnknownSchemeGetsDidYouMean) {
 }
 
 TEST(DriverPredict, ReportIsDeterministicAndRendered) {
-  auto config = coupon::driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
+  auto config = coupon::driver::ec2_scenario_one();
   config.scheme = "all";
   const auto candidates =
       coupon::driver::predict_candidates(config, {5, 10});

@@ -213,6 +213,17 @@ TEST(SchemeRegistryCreate, CrAndFrRequireSquareSetting) {
                AssertionError);
 }
 
+TEST(SchemeRegistryCreate, GcNestedRejectsZeroLoad) {
+  // r = 0 must fail the r | n check, not divide by zero inside it.
+  stats::Rng rng(1);
+  SchemeConfig config;
+  config.num_workers = 4;
+  config.num_units = 4;
+  config.load = 0;
+  EXPECT_THROW(SchemeRegistry::instance().create("gc_nested", config, rng),
+               AssertionError);
+}
+
 TEST(SchemeNames, DisplayAndRegistryNamesDistinctAcrossBuiltins) {
   std::set<std::string> display_names, registry_names;
   stats::Rng rng(1);

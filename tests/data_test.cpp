@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <set>
 
 #include "data/data.hpp"
@@ -210,68 +209,6 @@ TEST(Synthetic, RejectsDegenerateArguments) {
   EXPECT_THROW(generate_logreg(10, config, rng), coupon::AssertionError);
   config.num_features = 5;
   EXPECT_THROW(generate_logreg(0, config, rng), coupon::AssertionError);
-}
-
-
-// --- CSV dataset I/O ------------------------------------------------------------
-
-TEST(DatasetIo, RoundTripPreservesEverything) {
-  stats::Rng rng(21);
-  SyntheticConfig config;
-  config.num_features = 7;
-  const auto prob = generate_logreg(15, config, rng);
-  std::stringstream buffer;
-  save_csv(buffer, prob.dataset);
-  const auto loaded = load_csv(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_examples(), 15u);
-  EXPECT_EQ(loaded->num_features(), 7u);
-  EXPECT_EQ(loaded->y, prob.dataset.y);
-  EXPECT_EQ(loaded->x, prob.dataset.x);  // %.17g is lossless for doubles
-}
-
-TEST(DatasetIo, LoadsHandWrittenCsv) {
-  std::stringstream in("1,0.5,-2\n-1,3.25,4\n");
-  const auto d = load_csv(in);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->num_examples(), 2u);
-  EXPECT_EQ(d->num_features(), 2u);
-  EXPECT_DOUBLE_EQ(d->y[0], 1.0);
-  EXPECT_DOUBLE_EQ(d->x(1, 0), 3.25);
-}
-
-TEST(DatasetIo, SkipsBlankLines) {
-  std::stringstream in("1,2\n\n-1,3\n");
-  const auto d = load_csv(in);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->num_examples(), 2u);
-}
-
-TEST(DatasetIo, RejectsMalformedInput) {
-  {
-    std::stringstream in("");
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
-  {
-    std::stringstream in("1,abc\n");
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
-  {
-    std::stringstream in("1,2,3\n1,2\n");  // ragged
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
-  {
-    std::stringstream in("42\n");  // label but no features
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
-  {
-    std::stringstream in("1,,2\n");  // empty field
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
-  {
-    std::stringstream in("1,2.5x\n");  // trailing garbage in a field
-    EXPECT_FALSE(load_csv(in).has_value());
-  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/uncoded.hpp"
 #include "driver/driver.hpp"
 #include "driver/sweep.hpp"
+#include "simulate/cluster_config.hpp"
 
 namespace driver = coupon::driver;
 

@@ -1,17 +1,24 @@
 // Tests for the experiment-driver layer: the scenario registry, runtime
-// factory, config plumbing (including the cluster carry-through fix),
-// and the RunRecord-producing entry points with their CSV/JSONL sinks.
+// factory, config plumbing (CLI flags, the paper's EC2 presets, the
+// cluster override), the paper's Table I/II shape on those presets, and
+// the RunRecord-producing entry points with their CSV/JSONL sinks.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "core/theory.hpp"
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
-#include "simulate/experiment.hpp"
+#include "driver/sweep.hpp"
+#include "simulate/cluster_config.hpp"
 
 namespace driver = coupon::driver;
 
@@ -238,38 +245,69 @@ TEST(RuntimeFactory, SpellingsAndNames) {
   EXPECT_NE(registry.choices().find("process"), std::string::npos);
 }
 
-TEST(Driver, ConfigFromSimScenarioCopiesParametersAndCluster) {
-  auto scenario = coupon::simulate::ec2_scenario_two();
-  scenario.cluster.drop_probability = 0.25;  // a caller customization
-  const auto config = driver::config_from_sim_scenario(scenario);
-  EXPECT_EQ(config.num_workers, scenario.num_workers);
-  EXPECT_EQ(config.num_units, scenario.num_units);
-  EXPECT_EQ(config.load, scenario.load);
-  EXPECT_EQ(config.iterations, scenario.iterations);
-  EXPECT_EQ(config.seed, scenario.seed);
-  // The footgun fix: the customized cluster is carried, not discarded.
-  ASSERT_NE(config.cluster_override, nullptr);
-  EXPECT_DOUBLE_EQ(config.cluster_override->drop_probability, 0.25);
+namespace {
+
+/// Parses `args` (after the program name) into the driver's flags.
+std::optional<driver::ExperimentConfig> config_from_args(
+    std::vector<const char*> args) {
+  coupon::CliFlags flags;
+  driver::add_experiment_flags(flags);
+  args.insert(args.begin(), "coupon_run");
+  if (!flags.parse(static_cast<int>(args.size()), args.data())) {
+    return std::nullopt;
+  }
+  return driver::config_from_flags(flags);
+}
+
+}  // namespace
+
+TEST(ConfigFromFlags, DefaultsGiveThePaperConfig) {
+  const auto config = config_from_args({});
+  ASSERT_TRUE(config.has_value());
+  const auto paper = driver::ec2_scenario_one();
+  EXPECT_EQ(config->scheme, "bcc");
+  EXPECT_EQ(config->scenario, paper.scenario);
+  EXPECT_EQ(config->runtime, "sim");
+  EXPECT_EQ(config->num_workers, paper.num_workers);
+  EXPECT_EQ(config->num_units, paper.num_units);
+  EXPECT_EQ(config->load, paper.load);
+  EXPECT_EQ(config->iterations, paper.iterations);
+  EXPECT_EQ(config->cluster_override, nullptr);
+}
+
+TEST(ConfigFromFlags, NegativeCountsAreRejected) {
+  // A size_t count would wrap a negative value into a huge one.
+  for (const char* flag :
+       {"--workers", "--units", "--load", "--iterations", "--features",
+        "--examples_per_unit", "--crash_iteration"}) {
+    EXPECT_FALSE(config_from_args({flag, "-1"}).has_value()) << flag;
+  }
+  // --seed is any 64-bit value, negative spellings included.
+  EXPECT_TRUE(config_from_args({"--seed", "-1"}).has_value());
 }
 
 TEST(Driver, ClusterOverrideReachesTheSimulator) {
   // drop_probability = 1 loses every message: with the override honoured,
   // every iteration fails; if it were silently discarded, none would.
-  auto scenario = coupon::simulate::ec2_scenario_one();
-  scenario.num_workers = 10;
-  scenario.num_units = 10;
-  scenario.load = 2;
-  scenario.iterations = 6;
-  scenario.cluster.drop_probability = 1.0;
-  auto config = driver::config_from_sim_scenario(scenario);
+  auto config = driver::ec2_scenario_one();
   config.scheme = "uncoded";
+  config.num_workers = 10;
+  config.num_units = 10;
+  config.load = 2;
+  config.iterations = 6;
+  auto cluster = coupon::simulate::ec2_cluster();
+  cluster.drop_probability = 1.0;
+  config.cluster_override =
+      std::make_shared<const coupon::simulate::ClusterConfig>(cluster);
   const auto record = driver::run_experiment(config);
   EXPECT_EQ(record.failures, config.iterations);
 }
 
 TEST(Driver, ClusterOverrideRejectedByThreadedRuntime) {
-  auto config = driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
+  auto config = driver::ec2_scenario_one();
+  config.cluster_override =
+      std::make_shared<const coupon::simulate::ClusterConfig>(
+          coupon::simulate::ec2_cluster());
   config.runtime = "threaded";
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
 }
@@ -413,13 +451,131 @@ TEST(Driver, SimOnlyScenarioRejectedUnderThreadedRuntime) {
   EXPECT_EQ(driver::run_experiment(config).trace.size(), config.iterations);
 }
 
-TEST(Sinks, TraceHeaderExtendsIterationCsvHeader) {
-  const auto& header = driver::trace_csv_header();
-  const auto& trace = coupon::simulate::iteration_csv_header();
-  ASSERT_EQ(header.size(), trace.size() + 3);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(header[i + 3], trace[i]);
+namespace {
+
+/// Mean uncoded, CR and BCC records over ten BCC placements: the cells
+/// are seeded base.seed + p for p = 0..9, the preset's own seed first.
+/// Eq. 2 and the paper's K ~ 11 describe this mean; one placement's K
+/// swings with how evenly its workers cover the batches.
+std::vector<driver::RunRecord> placement_means(
+    const driver::ExperimentConfig& base) {
+  constexpr std::size_t kPlacements = 10;
+  driver::SweepPlan plan;
+  plan.base = base;
+  plan.base.record_trace = false;
+  plan.schemes = {"uncoded", "cr", "bcc"};
+  for (std::size_t p = 0; p < kPlacements; ++p) {
+    plan.seeds.push_back(base.seed + p);
   }
+  const auto records = driver::run_sweep(plan);
+  // Cell order is scheme-major, seed-minor.
+  std::vector<driver::RunRecord> means(plan.schemes.size());
+  for (std::size_t s = 0; s < means.size(); ++s) {
+    auto& mean = means[s];
+    mean.scheme = plan.schemes[s];
+    for (std::size_t p = 0; p < kPlacements; ++p) {
+      const auto& record = records[s * kPlacements + p];
+      mean.recovery_threshold += record.recovery_threshold;
+      mean.comm_time += record.comm_time;
+      mean.compute_time += record.compute_time;
+      mean.total_time += record.total_time;
+    }
+    mean.recovery_threshold /= kPlacements;
+    mean.comm_time /= kPlacements;
+    mean.compute_time /= kPlacements;
+    mean.total_time /= kPlacements;
+  }
+  return means;
+}
+
+}  // namespace
+
+TEST(Scenario, Ec2ConfigsMatchThePaper) {
+  const auto s1 = driver::ec2_scenario_one();
+  EXPECT_EQ(s1.scenario, "shifted_exp");
+  EXPECT_EQ(s1.num_workers, 50u);
+  EXPECT_EQ(s1.num_units, 50u);
+  EXPECT_EQ(s1.load, 10u);
+  EXPECT_EQ(s1.iterations, 100u);
+  EXPECT_EQ(s1.seed, 0xEC2001u);
+  const auto s2 = driver::ec2_scenario_two();
+  EXPECT_EQ(s2.num_workers, 100u);
+  EXPECT_EQ(s2.num_units, 100u);
+  EXPECT_EQ(s2.seed, 0xEC2002u);
+}
+
+TEST(Scenario, Fig4ShapeHoldsInScenarioOne) {
+  const auto rows = placement_means(driver::ec2_scenario_one());
+  ASSERT_EQ(rows.size(), 3u);
+  const auto& uncoded = rows[0];
+  const auto& cr = rows[1];
+  const auto& bcc = rows[2];
+
+  // Recovery-threshold ordering: BCC ~ 11 << CR = 41 < uncoded = 50.
+  EXPECT_DOUBLE_EQ(uncoded.recovery_threshold, 50.0);
+  EXPECT_DOUBLE_EQ(cr.recovery_threshold, 41.0);
+  EXPECT_LT(bcc.recovery_threshold, 20.0);
+  EXPECT_GE(bcc.recovery_threshold, 5.0);
+
+  // Total-time ordering and the headline speedups (shape, wide bands).
+  EXPECT_LT(bcc.total_time, cr.total_time);
+  EXPECT_LT(cr.total_time, uncoded.total_time);
+  const double vs_uncoded = driver::speedup_fraction(bcc, uncoded);
+  const double vs_cr = driver::speedup_fraction(bcc, cr);
+  EXPECT_GT(vs_uncoded, 0.5);
+  EXPECT_LT(vs_uncoded, 0.95);
+  EXPECT_GT(vs_cr, 0.4);
+
+  // Communication dominates computation, as in Table I.
+  EXPECT_GT(uncoded.comm_time, uncoded.compute_time);
+  EXPECT_GT(bcc.comm_time, bcc.compute_time);
+}
+
+TEST(Scenario, Fig4ShapeHoldsInScenarioTwo) {
+  const auto rows = placement_means(driver::ec2_scenario_two());
+  const auto& uncoded = rows[0];
+  const auto& cr = rows[1];
+  const auto& bcc = rows[2];
+  EXPECT_DOUBLE_EQ(uncoded.recovery_threshold, 100.0);
+  EXPECT_DOUBLE_EQ(cr.recovery_threshold, 91.0);
+  EXPECT_NEAR(bcc.recovery_threshold, coupon::core::theory::k_bcc(100, 10),
+              6.0);
+  EXPECT_LT(bcc.total_time, cr.total_time);
+  EXPECT_LT(cr.total_time, uncoded.total_time);
+  EXPECT_GT(driver::speedup_fraction(bcc, cr), 0.5);
+}
+
+TEST(Scenario, TotalTimeTracksRecoveryThreshold) {
+  // The paper's Tables I/II observation: total time is approximately
+  // proportional to K when communication dominates.
+  const auto rows = placement_means(driver::ec2_scenario_two());
+  for (const auto& a : rows) {
+    for (const auto& b : rows) {
+      if (a.recovery_threshold <= b.recovery_threshold) {
+        continue;
+      }
+      const double k_ratio = a.recovery_threshold / b.recovery_threshold;
+      const double t_ratio = a.total_time / b.total_time;
+      EXPECT_NEAR(t_ratio, k_ratio, 0.45 * k_ratio)
+          << a.scheme << " vs " << b.scheme;
+    }
+  }
+}
+
+TEST(SpeedupFraction, BasicAlgebra) {
+  driver::RunRecord fast, slow;
+  fast.total_time = 2.0;
+  slow.total_time = 10.0;
+  EXPECT_DOUBLE_EQ(driver::speedup_fraction(fast, slow), 0.8);
+}
+
+TEST(Sinks, TraceHeaderExtendsIterationCsvHeader) {
+  const std::vector<std::string> expected = {
+      "scheme",        "scenario",       "runtime",
+      "iteration",     "total_time",     "compute_time",
+      "comm_time",     "workers_heard",  "units_received",
+      "recovered"};
+  EXPECT_EQ(driver::trace_csv_header(), expected);
 }
 
 TEST(Sinks, TraceCsvEmitsHeaderPlusOneRowPerIteration) {

@@ -34,7 +34,6 @@
 #include "core/theory.hpp"
 #include "driver/driver.hpp"
 #include "simulate/cluster_sim.hpp"
-#include "simulate/experiment.hpp"
 #include "simulate/latency_model.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"

@@ -71,8 +71,9 @@ TEST(ShiftedExpModel, ExplicitFactoryMatchesTheDefaultPathBitForBit) {
     return std::make_unique<ShiftedExpModel>(1e-3, 50.0);
   };
 
-  const auto run_a = simulate_run(*scheme_a, implicit, 20, rng_a);
-  const auto run_b = simulate_run(*scheme_b, explicit_factory, 20, rng_b);
+  const RunOptions options{.iterations = 20, .record_trace = true};
+  const auto run_a = simulate_run(*scheme_a, implicit, options, rng_a);
+  const auto run_b = simulate_run(*scheme_b, explicit_factory, options, rng_b);
   ASSERT_EQ(run_a.iterations.size(), run_b.iterations.size());
   for (std::size_t t = 0; t < run_a.iterations.size(); ++t) {
     EXPECT_DOUBLE_EQ(run_a.iterations[t].total_time,
@@ -262,8 +263,9 @@ TEST(MarkovStragglerModel, PersistenceRaisesRunVariabilityOverBursty) {
                                                   20.0);
   };
 
-  const auto run_m = simulate_run(*scheme_m, markov, 300, rng_markov);
-  const auto run_b = simulate_run(*scheme_b, bimodal, 300, rng_bimodal);
+  const RunOptions options{.iterations = 300, .record_trace = true};
+  const auto run_m = simulate_run(*scheme_m, markov, options, rng_markov);
+  const auto run_b = simulate_run(*scheme_b, bimodal, options, rng_bimodal);
   stats::OnlineStats totals_m, totals_b;
   for (const auto& it : run_m.iterations) {
     totals_m.add(it.total_time);
@@ -377,7 +379,8 @@ TEST(TraceReplayModel, DrivesTheSimulatorDeterministically) {
   cluster.latency_model = [path](std::size_t n) {
     return std::make_unique<TraceReplayModel>(path, n);
   };
-  const auto run = simulate_run(*scheme, cluster, 4, rng);
+  const RunOptions options{.iterations = 4, .record_trace = true};
+  const auto run = simulate_run(*scheme, cluster, options, rng);
   ASSERT_EQ(run.iterations.size(), 4u);
   // Uncoded waits for the slowest worker: 0.2 s every iteration, from a
   // different worker in alternating rows.
@@ -446,7 +449,8 @@ TEST(ValidateClusterConfig, SimulatorRejectsBadConfigsBeforeSampling) {
   cluster.drop_probability = 2.0;
   EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
                coupon::AssertionError);
-  EXPECT_THROW(simulate_run(*scheme, cluster, 3, rng),
+  const RunOptions options{.iterations = 3, .record_trace = true};
+  EXPECT_THROW(simulate_run(*scheme, cluster, options, rng),
                coupon::AssertionError);
 }
 

@@ -1,12 +1,9 @@
-// Tests for the cluster iteration model and the EC2-scenario harness
-// (the Fig. 4 / Table I-II shape).
+// Tests for the cluster iteration model: single iterations, aggregated
+// runs, message drops and per-worker latency overrides.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
-#include <sstream>
 
 #include "core/core.hpp"
 #include "simulate/simulate.hpp"
@@ -129,20 +126,13 @@ TEST(SimulateRun, RecordTraceOffMatchesOnExceptForTheTrace) {
   EXPECT_EQ(run_a.failures, run_b.failures);
 }
 
-TEST(SimulateRun, LegacyIterationCountOverloadStillRecordsTheTrace) {
-  stats::Rng rng(22);
-  core::SchemeConfig config{8, 8, 2, false};
-  auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
-  const auto run = simulate_run(*scheme, test_cluster(), 6, rng);
-  EXPECT_EQ(run.iterations.size(), 6u);
-}
-
 TEST(SimulateRun, AggregatesMatchPerIterationReports) {
   stats::Rng rng(6);
   core::SchemeConfig config{10, 10, 3, false};
   auto scheme =
       core::SchemeRegistry::instance().create("cr", config, rng);
-  const auto run = simulate_run(*scheme, test_cluster(), 20, rng);
+  const RunOptions options{.iterations = 20, .record_trace = true};
+  const auto run = simulate_run(*scheme, test_cluster(), options, rng);
   ASSERT_EQ(run.iterations.size(), 20u);
   double total = 0.0, compute = 0.0, comm = 0.0;
   for (const auto& it : run.iterations) {
@@ -161,7 +151,8 @@ TEST(SimulateRun, BccMeanThresholdTracksTheorem1) {
   stats::Rng rng(7);
   core::SchemeConfig config{400, 20, 4, false};  // B = 5, K ~ 11.42
   auto scheme = core::SchemeRegistry::instance().create("bcc", config, rng);
-  const auto run = simulate_run(*scheme, test_cluster(), 400, rng);
+  const RunOptions options{.iterations = 400, .record_trace = true};
+  const auto run = simulate_run(*scheme, test_cluster(), options, rng);
   EXPECT_EQ(run.failures, 0u);
   // One fixed placement: looser tolerance than the fresh-placement test.
   EXPECT_NEAR(run.workers_heard.mean(), core::theory::k_bcc(20, 4), 3.5);
@@ -188,9 +179,10 @@ TEST(SimulateRun, UncodedIsFragileWhileBccIsRobustToDrops) {
   cluster.drop_probability = 0.05;
 
   auto uncoded = core::SchemeRegistry::instance().create("uncoded", config, rng);
-  const auto run_uncoded = simulate_run(*uncoded, cluster, 100, rng);
+  const RunOptions options{.iterations = 100, .record_trace = true};
+  const auto run_uncoded = simulate_run(*uncoded, cluster, options, rng);
   auto bcc = core::SchemeRegistry::instance().create("bcc", config, rng);
-  const auto run_bcc = simulate_run(*bcc, cluster, 100, rng);
+  const auto run_bcc = simulate_run(*bcc, cluster, options, rng);
 
   // Any lost message kills an uncoded iteration (P ~ 1 - 0.95^50 ~ 0.92);
   // BCC needs a whole batch's pickers lost.
@@ -206,7 +198,8 @@ TEST(SimulateRun, FractionalRepetitionSurvivesHeavyDrops) {
   cluster.drop_probability = 0.3;
   auto fr = core::SchemeRegistry::instance().create("fr",
                               config, rng);
-  const auto run = simulate_run(*fr, cluster, 50, rng);
+  const RunOptions options{.iterations = 50, .record_trace = true};
+  const auto run = simulate_run(*fr, cluster, options, rng);
   // Each block has r = 10 replicas: failure needs all ten lost (0.3^10).
   EXPECT_EQ(run.failures, 0u);
 }
@@ -233,107 +226,6 @@ TEST(SimulateIteration, OverrideSizeMismatchAsserts) {
   cluster.worker_overrides = {{1.0, 1.0}};  // wrong size
   EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
                coupon::AssertionError);
-}
-
-
-TEST(WriteIterationCsv, EmitsHeaderAndOneLinePerIteration) {
-  stats::Rng rng(13);
-  core::SchemeConfig config{6, 6, 2, false};
-  auto scheme =
-      core::SchemeRegistry::instance().create("cr", config, rng);
-  const auto run = simulate_run(*scheme, test_cluster(), 5, rng);
-  std::ostringstream os;
-  write_iteration_csv(os, run);
-  const std::string text = os.str();
-  // Header + 5 data rows.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
-  EXPECT_NE(text.find("iteration,total_time"), std::string::npos);
-  EXPECT_NE(text.find("\n0,"), std::string::npos);
-  EXPECT_NE(text.find("\n4,"), std::string::npos);
-  // CR hears n - s = 5 workers each iteration.
-  EXPECT_NE(text.find(",5,"), std::string::npos);
-}
-// --- paper scenarios ---------------------------------------------------------------------
-
-TEST(Scenario, Ec2ConfigsMatchThePaper) {
-  const auto s1 = ec2_scenario_one();
-  EXPECT_EQ(s1.num_workers, 50u);
-  EXPECT_EQ(s1.num_units, 50u);
-  EXPECT_EQ(s1.load, 10u);
-  EXPECT_EQ(s1.iterations, 100u);
-  const auto s2 = ec2_scenario_two();
-  EXPECT_EQ(s2.num_workers, 100u);
-  EXPECT_EQ(s2.num_units, 100u);
-}
-
-TEST(Scenario, Fig4ShapeHoldsInScenarioOne) {
-  const auto rows = run_scenario(
-      ec2_scenario_one(),
-      {"uncoded", "cr", "bcc"});
-  ASSERT_EQ(rows.size(), 3u);
-  const auto& uncoded = rows[0];
-  const auto& cr = rows[1];
-  const auto& bcc = rows[2];
-
-  // Recovery-threshold ordering: BCC ~ 11 << CR = 41 < uncoded = 50.
-  EXPECT_DOUBLE_EQ(uncoded.recovery_threshold, 50.0);
-  EXPECT_DOUBLE_EQ(cr.recovery_threshold, 41.0);
-  EXPECT_LT(bcc.recovery_threshold, 20.0);
-  EXPECT_GE(bcc.recovery_threshold, 5.0);
-
-  // Total-time ordering and the headline speedups (shape, wide bands).
-  EXPECT_LT(bcc.total_time, cr.total_time);
-  EXPECT_LT(cr.total_time, uncoded.total_time);
-  const double vs_uncoded = speedup_fraction(bcc, uncoded);
-  const double vs_cr = speedup_fraction(bcc, cr);
-  EXPECT_GT(vs_uncoded, 0.5);
-  EXPECT_LT(vs_uncoded, 0.95);
-  EXPECT_GT(vs_cr, 0.4);
-
-  // Communication dominates computation, as in Table I.
-  EXPECT_GT(uncoded.comm_time, uncoded.compute_time);
-  EXPECT_GT(bcc.comm_time, bcc.compute_time);
-}
-
-TEST(Scenario, Fig4ShapeHoldsInScenarioTwo) {
-  const auto rows = run_scenario(
-      ec2_scenario_two(),
-      {"uncoded", "cr", "bcc"});
-  const auto& uncoded = rows[0];
-  const auto& cr = rows[1];
-  const auto& bcc = rows[2];
-  EXPECT_DOUBLE_EQ(uncoded.recovery_threshold, 100.0);
-  EXPECT_DOUBLE_EQ(cr.recovery_threshold, 91.0);
-  EXPECT_NEAR(bcc.recovery_threshold, core::theory::k_bcc(100, 10), 6.0);
-  EXPECT_LT(bcc.total_time, cr.total_time);
-  EXPECT_LT(cr.total_time, uncoded.total_time);
-  EXPECT_GT(speedup_fraction(bcc, cr), 0.5);
-}
-
-TEST(Scenario, TotalTimeTracksRecoveryThreshold) {
-  // The paper's Tables I/II observation: total time is approximately
-  // proportional to K when communication dominates.
-  const auto rows = run_scenario(
-      ec2_scenario_two(),
-      {"uncoded", "cr", "bcc"});
-  for (const auto& a : rows) {
-    for (const auto& b : rows) {
-      if (a.recovery_threshold <= b.recovery_threshold) {
-        continue;
-      }
-      const double k_ratio = a.recovery_threshold / b.recovery_threshold;
-      const double t_ratio = a.total_time / b.total_time;
-      EXPECT_NEAR(t_ratio, k_ratio, 0.45 * k_ratio)
-          << a.scheme << " vs " << b.scheme;
-    }
-  }
-}
-
-TEST(SpeedupFraction, BasicAlgebra) {
-  SchemeRunRow fast, slow;
-  fast.total_time = 2.0;
-  slow.total_time = 10.0;
-  EXPECT_DOUBLE_EQ(speedup_fraction(fast, slow), 0.8);
 }
 
 }  // namespace

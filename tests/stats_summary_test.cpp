@@ -1,12 +1,11 @@
-// Tests for streaming statistics, quantiles, and histograms.
+// Tests for the streaming statistics accumulator.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
-#include "stats/rng.hpp"
 #include "stats/summary.hpp"
-#include "util/assert.hpp"
 
 namespace coupon::stats {
 namespace {
@@ -49,35 +48,6 @@ TEST(OnlineStats, MatchesDirectComputation) {
   EXPECT_NEAR(s.sem(), s.stddev() / std::sqrt(5.0), 1e-12);
 }
 
-TEST(OnlineStats, MergeEqualsSinglePass) {
-  Rng rng(3);
-  OnlineStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsIdentity) {
-  OnlineStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  OnlineStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-  EXPECT_EQ(b.count(), 2u);
-}
-
 TEST(OnlineStats, NumericallyStableForLargeOffsets) {
   OnlineStats s;
   const double offset = 1e9;
@@ -86,65 +56,6 @@ TEST(OnlineStats, NumericallyStableForLargeOffsets) {
   }
   EXPECT_NEAR(s.mean(), offset, 1e-3);
   EXPECT_NEAR(s.variance(), 1.0 + 1e-3, 2e-3);
-}
-
-TEST(Quantile, LinearInterpolation) {
-  std::vector<double> xs = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25.0);
-  EXPECT_NEAR(quantile(xs, 1.0 / 3.0), 20.0, 1e-12);
-}
-
-TEST(Quantile, UnsortedInputIsHandled) {
-  std::vector<double> xs = {40.0, 10.0, 30.0, 20.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25.0);
-}
-
-TEST(Quantile, SingleElement) {
-  EXPECT_DOUBLE_EQ(quantile({7.0}, 0.3), 7.0);
-}
-
-TEST(Quantile, RejectsEmptyAndBadQ) {
-  EXPECT_THROW(quantile({}, 0.5), coupon::AssertionError);
-  EXPECT_THROW(quantile({1.0}, -0.1), coupon::AssertionError);
-  EXPECT_THROW(quantile({1.0}, 1.1), coupon::AssertionError);
-}
-
-TEST(Histogram, CountsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {0.5, 1.5, 2.5, 9.5, 9.9}) {
-    h.add(x);
-  }
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);  // [0,2): 0.5, 1.5
-  EXPECT_EQ(h.count(1), 1u);  // [2,4): 2.5
-  EXPECT_EQ(h.count(4), 2u);  // [8,10): 9.5, 9.9
-  EXPECT_DOUBLE_EQ(h.edge(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.edge(4), 8.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEndBuckets) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, TailFraction) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 1; i <= 10; ++i) {
-    h.add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(h.tail_fraction(8.0), 0.3);   // 8, 9, 10
-  EXPECT_DOUBLE_EQ(h.tail_fraction(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.tail_fraction(11.0), 0.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), coupon::AssertionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), coupon::AssertionError);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 #include "util/util.hpp"
 
@@ -242,66 +241,6 @@ TEST(ThreadPool, SizeIsAtLeastOne) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(ParallelFor, CoversExactRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(
-      pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; },
-      /*serial_threshold=*/16);
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  parallel_for(pool, 5, 5, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, SerialFallbackBelowThreshold) {
-  ThreadPool pool(4);
-  // Range below the threshold runs inline; correctness is the contract.
-  std::vector<int> hits(10, 0);
-  parallel_for(
-      pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; },
-      /*serial_threshold=*/1024);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
-}
-
-TEST(ParallelForChunks, ChunksPartitionTheRange) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  parallel_for_chunks(
-      pool, 10, 110,
-      [&](std::size_t lo, std::size_t hi) {
-        std::lock_guard<std::mutex> lock(mu);
-        chunks.emplace_back(lo, hi);
-      },
-      /*serial_threshold=*/1);
-  std::sort(chunks.begin(), chunks.end());
-  EXPECT_EQ(chunks.front().first, 10u);
-  EXPECT_EQ(chunks.back().second, 110u);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
-  }
-}
-
-TEST(ParallelFor, ExceptionInBodyPropagates) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(
-                   pool, 0, 10000,
-                   [](std::size_t i) {
-                     if (i == 5000) {
-                       throw std::runtime_error("body failed");
-                     }
-                   },
-                   /*serial_threshold=*/1),
-               std::runtime_error);
-}
-
 // --- timer --------------------------------------------------------------------
 
 TEST(WallTimer, MeasuresNonNegativeMonotonicTime) {
@@ -359,19 +298,6 @@ TEST(UnknownNameMessage, IncludesDidYouMeanWhenClose) {
       unknown_name_message("scenario", "qqqqqq", choices);
   EXPECT_EQ(far.find("did you mean"), std::string::npos);
   EXPECT_NE(far.find("choices:"), std::string::npos);
-}
-
-// --- logging -----------------------------------------------------------------
-
-TEST(Logger, LevelFiltering) {
-  Logger& log = Logger::instance();
-  const LogLevel old = log.level();
-  log.set_level(LogLevel::kError);
-  EXPECT_EQ(log.level(), LogLevel::kError);
-  // Writing below the threshold must be a no-op (no crash, no output check
-  // needed — the contract is simply that it is safe).
-  log_debug() << "suppressed";
-  log.set_level(old);
 }
 
 }  // namespace

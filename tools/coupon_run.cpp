@@ -29,6 +29,7 @@
 // run-level summary is always printed to stderr so stdout stays clean
 // CSV when --out=-.
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -270,6 +271,13 @@ int run_single(const coupon::driver::ExperimentConfig& config,
 
 int run_sweep_mode(const CliFlags& flags,
                    const coupon::driver::ExperimentConfig& base) {
+  const std::int64_t threads = flags.get_int("threads");
+  if (threads < 0) {
+    std::fprintf(stderr, "--threads must be >= 0, got %lld\n",
+                 static_cast<long long>(threads));
+    return 1;
+  }
+
   coupon::driver::SweepPlan plan;
   plan.base = base;
   // Sweep mode renders summary CSV + trace-less JSONL only: skip
@@ -292,6 +300,11 @@ int run_sweep_mode(const CliFlags& flags,
     return 1;
   }
   plan.seeds.assign(seeds.begin(), seeds.end());
+  // An empty units axis makes m track n. That is what an n axis wants;
+  // with neither axis, --units names m, as it does in a single run.
+  if (plan.workers.empty() && plan.units.empty()) {
+    plan.units = {base.num_units};
+  }
 
   // Streams: open both before running so path errors surface immediately.
   const std::string out_path = flags.get_string("out");
@@ -329,7 +342,7 @@ int run_sweep_mode(const CliFlags& flags,
   coupon::driver::TeeSink tee(sinks);
 
   coupon::driver::SweepOptions options;
-  options.threads = static_cast<std::size_t>(flags.get_int("threads"));
+  options.threads = static_cast<std::size_t>(threads);
   options.sink = &tee;
 
   std::vector<coupon::driver::RunRecord> records;
@@ -377,7 +390,8 @@ int main(int argc, char** argv) {
       .add_string("scenarios", "", "sweep: comma-separated scenario axis")
       .add_string("workers_axis", "", "sweep: comma-separated n axis")
       .add_string("units_axis", "",
-                  "sweep: comma-separated m axis (default: m tracks n)")
+                  "sweep: comma-separated m axis (default: m tracks the n "
+                  "axis, else --units)")
       .add_string("loads", "", "sweep: comma-separated r axis")
       .add_string("iterations_axis", "",
                   "sweep: comma-separated iterations axis")
