@@ -24,7 +24,9 @@ test -s "${TMP_DIR}/threaded.csv"
 run "${BUILD_DIR}/tools/coupon_run" --scheme cr --scenario lossy \
     --runtime sim --iterations 5 --out -
 run "${BUILD_DIR}/tools/coupon_run" --list
-"${BUILD_DIR}/tools/coupon_run" --list | grep -q "analytic models"
+# grep reads all of its input: `grep -q` would exit at the first match,
+# and under pipefail the writer's SIGPIPE would fail the step.
+"${BUILD_DIR}/tools/coupon_run" --list | grep "analytic models" > /dev/null
 
 # --- analytic oracle gate ------------------------------------------------
 # --predict is zero-simulation and fully deterministic: two invocations
@@ -66,8 +68,10 @@ grep -q "time_to_target" "${TMP_DIR}/sgc_train.csv"
 test "$(tail -1 "${TMP_DIR}/sgc_train.csv" | awk -F, '{print $NF}')" != ""
 
 # Multi-process socket runtime: 4 worker OS processes train end-to-end
-# and reach the target loss; then the crash drill SIGKILLs worker 1
-# mid-iteration and the run must still complete under kSkipUpdate. Both
+# and reach the target loss; then the crash drill SIGKILLs worker 0
+# mid-iteration, the run must still complete under kSkipUpdate, and its
+# stderr summary must count the lost worker. At seed 123 worker 0 alone
+# holds batch 0, so the master waits for it and must see its EOF. Both
 # under a hard timeout so a wedged socket can never hang the smoke job.
 run timeout 120 "${BUILD_DIR}/tools/coupon_run" --scheme bcc \
     --scenario no_stragglers --runtime process --workers 4 --units 4 \
@@ -78,10 +82,11 @@ test "$(tail -1 "${TMP_DIR}/process.csv" | awk -F, '{print $NF}')" != ""
 run timeout 120 "${BUILD_DIR}/tools/coupon_run" --scheme bcc \
     --scenario no_stragglers --runtime process --workers 4 --units 4 \
     --load 2 --iterations 12 --seed 123 --features 8 --examples_per_unit 5 \
-    --crash_worker 1 --crash_iteration 2 --worker_timeout_ms 5000 \
-    --out "${TMP_DIR}/process_crash.csv"
+    --crash_worker 0 --crash_iteration 2 --worker_timeout_ms 5000 \
+    --out "${TMP_DIR}/process_crash.csv" 2> "${TMP_DIR}/process_crash.err"
 test -s "${TMP_DIR}/process_crash.csv"
 test "$(wc -l < "${TMP_DIR}/process_crash.csv")" -eq 2  # header + summary row
+grep -q "workers_lost=1" "${TMP_DIR}/process_crash.err"
 
 # Parallel sweep: 2 schemes x 2 scenarios x 2 loads -> exactly 8 JSONL
 # rows and 8 CSV rows + header.
@@ -111,8 +116,9 @@ test -s "${TMP_DIR}/trace_run.csv"
 
 # --- user errors ---------------------------------------------------------
 # A bad count or load must end in a message and exit 1: not a crash (136
-# is SIGFPE) and not a run that wraps a negative count and hangs until
-# the timeout (124). stderr must name what was wrong.
+# is SIGFPE), not a run that wraps a negative count and hangs until the
+# timeout (124), and not an internal assertion. stderr must name what was
+# wrong.
 expect_error() {
   local pattern="$1"
   shift
@@ -121,6 +127,10 @@ expect_error() {
   timeout 10 "$@" > /dev/null 2> "${TMP_DIR}/err.txt" || status=$?
   test "${status}" -eq 1
   grep -q -- "${pattern}" "${TMP_DIR}/err.txt"
+  if grep -q "assertion failed" "${TMP_DIR}/err.txt"; then
+    echo "an internal assertion, not a message: $(cat "${TMP_DIR}/err.txt")" >&2
+    return 1
+  fi
 }
 expect_error "r >= 1" "${BUILD_DIR}/tools/coupon_run" --scheme gc_nested \
     --workers 4 --units 4 --load 0 --iterations 2
@@ -133,11 +143,17 @@ expect_error "--workers must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
     --predict --scheme bcc --workers -3
 expect_error "--threads must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
     --sweep --schemes bcc --iterations 2 --threads -1
+# A scheme's shape rule is a message, not the factory's assertion.
+expect_error "requires m == n" "${BUILD_DIR}/tools/coupon_run" --scheme cr \
+    --workers 6 --units 4 --load 2 --iterations 2
+expect_error "requires r | n" "${BUILD_DIR}/tools/coupon_run" --scheme fr \
+    --workers 6 --units 6 --load 4 --iterations 2
 # A zero load is a ranked-table footnote, not a crash.
 echo "==> coupon_run --predict --scheme all --loads 0"
 timeout 10 "${BUILD_DIR}/tools/coupon_run" --predict --scheme all --loads 0 \
     > "${TMP_DIR}/predict_r0.txt"
-sed -n '/not predictable/,$p' "${TMP_DIR}/predict_r0.txt" | grep -q "gc_nested"
+sed -n '/not predictable/,$p' "${TMP_DIR}/predict_r0.txt" | grep "gc_nested" \
+    > /dev/null
 # Without an n or m axis, a sweep takes m from --units, as a single run does.
 run timeout 10 "${BUILD_DIR}/tools/coupon_run" --sweep --schemes bcc \
     --workers 50 --units 60 --iterations 2 --out "${TMP_DIR}/units.csv"

@@ -20,8 +20,6 @@ enum MessageTag : std::int32_t {
   kTagModelBroadcast = 1,  ///< master -> worker: current weight vector
   kTagGradient = 2,        ///< worker -> master: encoded gradient message
   kTagShutdown = 3,        ///< master -> worker: terminate worker loop
-  kTagHello = 4,           ///< worker -> master: rank announcement on a
-                           ///< fresh TCP connection (meta = {rank})
 };
 
 /// One routed message. `payload` carries dense numeric data; `meta` carries

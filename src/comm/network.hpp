@@ -7,11 +7,8 @@
 /// (rank 0 = master, ranks 1..n = workers) owns a mailbox; `send` routes a
 /// message to the destination mailbox; `recv` blocks on the caller's own
 /// mailbox. Messages round-trip through byte serialization so the code
-/// path exercised is the same one a socket transport would use, and
-/// per-rank traffic counters feed the communication-load accounting.
+/// path exercised is the same one a socket transport would use.
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -19,14 +16,6 @@
 #include "comm/queue.hpp"
 
 namespace coupon::comm {
-
-/// Per-rank cumulative traffic counters.
-struct TrafficStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t payload_units_sent = 0;  ///< Σ payload sizes (Definition 3)
-};
 
 /// A fixed-size set of endpoints with reliable in-order unicast delivery.
 ///
@@ -61,19 +50,8 @@ class InProcNetwork {
   /// Closes all mailboxes.
   void close_all();
 
-  /// Snapshot of `rank`'s traffic counters.
-  TrafficStats stats(std::size_t rank) const;
-
  private:
-  struct Endpoint {
-    BlockingQueue<Message> mailbox;
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> messages_received{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> payload_units_sent{0};
-  };
-
-  std::vector<std::unique_ptr<Endpoint>> mailboxes_;
+  std::vector<std::unique_ptr<BlockingQueue<Message>>> mailboxes_;
 };
 
 }  // namespace coupon::comm

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <climits>
 #include <cstring>
-#include <ctime>
 #include <span>
 
 #include "util/assert.hpp"
@@ -32,8 +31,7 @@ constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 31;
 constexpr std::size_t kMinReadBytes = 4096;
 
 /// The body length a frame prefix announces; 0 when no valid frame can
-/// start with it (zero, or above kMaxFrameBytes). The one parser of the
-/// prefix, for the buffered cutter and `recv_frame` alike.
+/// start with it (zero, or above kMaxFrameBytes).
 std::uint64_t frame_length(const std::uint8_t* prefix) {
   std::uint64_t length = 0;
   for (std::size_t i = 0; i < kPrefixBytes; ++i) {
@@ -90,60 +88,6 @@ class Deadline {
   Clock::time_point at_ = Clock::time_point::max();
 };
 
-/// Writes all `n` bytes with blocking sends, riding out EINTR and short
-/// writes; never raises SIGPIPE. False when the peer is gone.
-bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t wrote = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-/// Reads exactly `n` bytes. False on EOF or a read error (stream over).
-bool read_all(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t got = ::recv(fd, data + done, n - done, 0);
-    if (got < 0 && errno == EINTR) {
-      continue;
-    }
-    if (got <= 0) {
-      return false;  // EOF mid-frame (the peer is gone) or an error
-    }
-    done += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-/// Waits for `fd` to become readable; a negative `timeout` waits forever.
-/// 1 = readable (or hung up — the subsequent read observes the EOF),
-/// 0 = timeout, -1 = poll error.
-int wait_readable(int fd, std::chrono::milliseconds timeout) {
-  const Deadline deadline(timeout);
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  pfd.revents = 0;
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, deadline.poll_ms());
-    if (rc < 0 && errno == EINTR) {
-      continue;
-    }
-    if (rc == 0 && !deadline.passed()) {
-      continue;  // a capped poll timeout ran out before the deadline
-    }
-    return rc < 0 ? -1 : (rc == 0 ? 0 : 1);
-  }
-}
-
 /// Turns off Nagle on TCP streams; a no-op on AF_UNIX (where the option
 /// does not exist) — each iteration is a small latency-bound exchange.
 void set_nodelay(int fd) {
@@ -155,6 +99,59 @@ void close_fd(int fd) {
   if (fd >= 0) {
     ::close(fd);
   }
+}
+
+/// True when `make` creates a pair, which is closed again.
+bool can_make(bool (*make)(int[2])) {
+  int fds[2];
+  if (!make(fds)) {
+    return false;
+  }
+  close_fd(fds[0]);
+  close_fd(fds[1]);
+  return true;
+}
+
+/// A connected loopback TCP pair: an ephemeral-port listener, one
+/// connect (on loopback it completes from the listen backlog, before any
+/// accept) and the accept of that connection. The accepted peer must be
+/// our own connect; one from another process that raced to the port
+/// fails the pair.
+bool make_tcp_pair(int fds[2]) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  int accepted = -1;
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // port 0: the kernel picks
+  auto* const sa = reinterpret_cast<sockaddr*>(&addr);
+  socklen_t len = sizeof(addr);
+  if (listener >= 0 && client >= 0 && ::bind(listener, sa, len) == 0 &&
+      ::listen(listener, 1) == 0 && ::getsockname(listener, sa, &len) == 0 &&
+      ::connect(client, sa, len) == 0) {
+    do {
+      accepted = ::accept(listener, nullptr, nullptr);
+    } while (accepted < 0 && errno == EINTR);
+  }
+  close_fd(listener);
+  sockaddr_in ours;
+  sockaddr_in theirs;
+  socklen_t ours_len = sizeof(ours);
+  socklen_t theirs_len = sizeof(theirs);
+  if (accepted < 0 ||
+      ::getsockname(client, reinterpret_cast<sockaddr*>(&ours), &ours_len) !=
+          0 ||
+      ::getpeername(accepted, reinterpret_cast<sockaddr*>(&theirs),
+                    &theirs_len) != 0 ||
+      ours.sin_port != theirs.sin_port) {
+    close_fd(client);
+    close_fd(accepted);
+    return false;
+  }
+  fds[0] = accepted;
+  fds[1] = client;
+  return true;
 }
 
 enum class Cut {
@@ -187,142 +184,23 @@ Cut cut_frame(const std::vector<std::uint8_t>& buf, std::size_t& begin,
 
 }  // namespace
 
-bool send_frame(int fd, const Message& m) {
-  if (fd < 0) {
-    return false;
-  }
-  std::vector<std::uint8_t> wire;
-  encode_frame(m, wire);
-  return write_all(fd, wire.data(), wire.size());
-}
-
-FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout,
-                       Message& out) {
-  if (fd < 0) {
-    return FrameStatus::kClosed;
-  }
-  const int ready = wait_readable(fd, timeout);
-  if (ready == 0) {
-    return FrameStatus::kTimeout;
-  }
-  if (ready < 0) {
-    return FrameStatus::kClosed;
-  }
-  std::uint8_t prefix[kPrefixBytes];
-  if (!read_all(fd, prefix, kPrefixBytes)) {
-    return FrameStatus::kClosed;
-  }
-  const std::uint64_t length = frame_length(prefix);
-  if (length == 0) {
-    return FrameStatus::kClosed;  // corrupt stream; resync is impossible
-  }
-  std::vector<std::uint8_t> body(static_cast<std::size_t>(length));
-  if (!read_all(fd, body.data(), body.size())) {
-    return FrameStatus::kClosed;
-  }
-  return deserialize(body, out) ? FrameStatus::kMessage
-                                : FrameStatus::kClosed;
-}
-
 bool make_stream_socketpair(int fds[2]) {
   return ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0;
 }
 
 bool socketpair_available() {
-  static const bool available = [] {
-    int fds[2];
-    if (!make_stream_socketpair(fds)) {
-      return false;
-    }
-    close_fd(fds[0]);
-    close_fd(fds[1]);
-    return true;
-  }();
+  static const bool available = can_make(make_stream_socketpair);
   return available;
 }
 
 bool tcp_loopback_available() {
-  static const bool available = [] {
-    auto listener = TcpListener::open();
-    if (listener == nullptr) {
-      return false;
-    }
-    const int client = tcp_connect_loopback(listener->port(),
-                                            std::chrono::milliseconds(500));
-    if (client < 0) {
-      return false;
-    }
-    const int accepted = listener->accept_fd(std::chrono::milliseconds(500));
-    close_fd(client);
-    close_fd(accepted);
-    return accepted >= 0;
-  }();
+  static const bool available = can_make(make_tcp_pair);
   return available;
 }
 
-std::unique_ptr<TcpListener> TcpListener::open() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return nullptr;
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // let the kernel pick
-  socklen_t addr_len = sizeof(addr);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, SOMAXCONN) != 0 ||
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    close_fd(fd);
-    return nullptr;
-  }
-  return std::unique_ptr<TcpListener>(
-      new TcpListener(fd, ntohs(addr.sin_port)));
-}
-
-TcpListener::~TcpListener() { close_fd(fd_); }
-
-int TcpListener::accept_fd(std::chrono::milliseconds timeout) {
-  if (wait_readable(fd_, timeout) != 1) {
-    return -1;
-  }
-  for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0 || errno != EINTR) {
-      return fd;
-    }
-  }
-}
-
-int tcp_connect_loopback(std::uint16_t port,
-                         std::chrono::milliseconds timeout) {
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return -1;
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    close_fd(fd);
-    // The listener's backlog can briefly overflow while every worker
-    // connects at once; retry until the deadline.
-    if (errno != ECONNREFUSED && errno != EINTR && errno != EAGAIN) {
-      return -1;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return -1;
-    }
-    struct timespec nap = {0, 2 * 1000 * 1000};  // 2 ms
-    ::nanosleep(&nap, nullptr);
-  }
+bool make_stream_pair(int fds[2]) {
+  return tcp_loopback_available() ? make_tcp_pair(fds)
+                                  : make_stream_socketpair(fds);
 }
 
 TcpTransport::TcpTransport(std::size_t rank, std::size_t num_ranks,
@@ -480,13 +358,7 @@ bool TcpTransport::send(Message m) {
   m.source = static_cast<std::int32_t>(rank_);
   const Stream& dest = stream_for(static_cast<std::size_t>(m.dest));
   encode_frame(m, wire_);
-  if (!write_frame(dest)) {
-    return false;
-  }
-  ++messages_sent_;
-  bytes_sent_ += wire_.size() - kPrefixBytes;
-  payload_units_sent_ += m.payload.size();
-  return true;
+  return write_frame(dest);
 }
 
 RecvEvent TcpTransport::recv() {
@@ -502,9 +374,6 @@ RecvEvent TcpTransport::recv_for(std::chrono::milliseconds timeout) {
   const Deadline deadline(timeout);
   for (;;) {
     if (next_event(event)) {
-      if (event.status == RecvStatus::kMessage) {
-        ++messages_received_;
-      }
       return event;
     }
     if (deadline.unlimited() && streams_.size() == 1 && !streams_[0].eof) {
@@ -533,15 +402,6 @@ void TcpTransport::close() {
     close_fd(s.fd);
     s = Stream{};
   }
-}
-
-TrafficStats TcpTransport::stats() const {
-  TrafficStats s;
-  s.messages_sent = messages_sent_;
-  s.bytes_sent = bytes_sent_;
-  s.payload_units_sent = payload_units_sent_;
-  s.messages_received = messages_received_;
-  return s;
 }
 
 }  // namespace coupon::comm

@@ -6,10 +6,9 @@
 /// Wire format: each message travels as one length-prefixed frame,
 /// `[u64 length, little-endian][serialize(Message)]` — the explicit
 /// prefix is what lets a byte stream be cut back into the exact-size
-/// spans `deserialize` demands. Both loopback TCP connections and
-/// AF_UNIX stream socketpairs carry the identical framing, so sandboxes
-/// that forbid binding a listening socket fall back to socketpairs
-/// created before fork() with no protocol change.
+/// spans `deserialize` demands. Loopback TCP connections and AF_UNIX
+/// stream socketpairs carry the identical framing; `make_stream_pair`
+/// picks one, so the caller never branches on the socket type.
 ///
 /// Crash detection is the kernel's: when a worker process dies (SIGKILL
 /// included), its socket closes and the master's poll loop reads EOF —
@@ -36,58 +35,15 @@ bool tcp_loopback_available();
 /// True when AF_UNIX stream socketpairs can be created. Probed once.
 bool socketpair_available();
 
-/// Creates a connected AF_UNIX stream pair with SIGPIPE-free semantics;
-/// false when the sandbox forbids it.
+/// Creates a connected AF_UNIX stream pair; false when the sandbox
+/// forbids it.
 bool make_stream_socketpair(int fds[2]);
 
-/// Writes one length-prefixed frame to `fd`. Returns false when the peer
-/// is gone (EPIPE/ECONNRESET) or the fd is invalid; never raises SIGPIPE.
-bool send_frame(int fd, const Message& m);
-
-/// Outcome of a frame read, mirroring PopStatus for a byte stream.
-enum class FrameStatus {
-  kMessage,  ///< a complete, well-formed frame was read into `out`
-  kTimeout,  ///< the deadline passed before the frame started
-  kClosed,   ///< EOF, a malformed frame, or a read error — terminal
-};
-
-/// Reads exactly one frame from `fd`, with blocking reads — the TCP hello
-/// handshake, which must not consume bytes past its frame. A negative
-/// `timeout` blocks indefinitely; otherwise the deadline applies to the
-/// frame's first byte (a started frame is always read to completion).
-/// Malformed input (zero or oversized length, bytes `deserialize`
-/// rejects) is terminal: the stream offset can no longer be trusted.
-FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout, Message& out);
-
-/// A loopback TCP listener on an ephemeral port, for collecting worker
-/// connections at cluster start.
-class TcpListener {
- public:
-  /// Binds 127.0.0.1:0 and listens; nullptr when the sandbox forbids it.
-  static std::unique_ptr<TcpListener> open();
-
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  /// The ephemeral port the kernel assigned.
-  std::uint16_t port() const { return port_; }
-
-  /// Accepts one connection; -1 on timeout or error.
-  int accept_fd(std::chrono::milliseconds timeout);
-
-  /// The listening socket, for closing in forked children.
-  int fd() const { return fd_; }
-
- private:
-  TcpListener(int fd, std::uint16_t port) : fd_(fd), port_(port) {}
-
-  int fd_;
-  std::uint16_t port_;
-};
-
-/// Connects to 127.0.0.1:`port`; -1 on failure within `timeout`.
-int tcp_connect_loopback(std::uint16_t port, std::chrono::milliseconds timeout);
+/// Creates a connected stream pair within this process: loopback TCP
+/// where `tcp_loopback_available()`, else an AF_UNIX socketpair. Both
+/// ends are ordinary blocking fds; `fds[0]` and `fds[1]` are
+/// interchangeable. False when neither socket type can be made.
+bool make_stream_pair(int fds[2]);
 
 /// Stream-socket `Transport` endpoint. Two shapes share the class:
 ///
@@ -122,12 +78,10 @@ class TcpTransport final : public Transport {
 
   std::size_t rank() const override { return rank_; }
   std::size_t num_ranks() const override { return num_ranks_; }
-  std::string_view kind() const override { return "tcp"; }
   bool send(Message m) override;
   RecvEvent recv() override;
   RecvEvent recv_for(std::chrono::milliseconds timeout) override;
   void close() override;
-  TrafficStats stats() const override;
 
  private:
   /// One connected stream and the bytes read from it that no frame has
@@ -173,10 +127,6 @@ class TcpTransport final : public Transport {
   std::size_t next_stream_ = 0;     // where next_event's turn starts
   std::vector<std::uint8_t> wire_;  // the frame being sent
   bool closed_ = false;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t payload_units_sent_ = 0;
-  std::uint64_t messages_received_ = 0;
 };
 
 }  // namespace coupon::comm

@@ -45,8 +45,4 @@ RecvEvent InProcessTransport::recv_for(std::chrono::milliseconds timeout) {
 
 void InProcessTransport::close() { network_.close_rank(rank_); }
 
-TrafficStats InProcessTransport::stats() const {
-  return network_.stats(rank_);
-}
-
 }  // namespace coupon::comm

@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <string_view>
 
 #include "comm/message.hpp"
 #include "comm/network.hpp"
@@ -54,9 +53,6 @@ class Transport {
   /// Total participants, master included.
   virtual std::size_t num_ranks() const = 0;
 
-  /// Implementation tag for records and diagnostics ("inproc", "tcp").
-  virtual std::string_view kind() const = 0;
-
   /// Routes `m` to `m.dest`, stamping `m.source` with this endpoint's
   /// rank. Returns false when the destination is gone (closed mailbox,
   /// broken pipe) — the caller decides whether that is fatal.
@@ -74,9 +70,6 @@ class Transport {
   /// Shuts the endpoint down: subsequent receives return kClosed and
   /// peers observe EOF where the fabric supports it. Idempotent.
   virtual void close() = 0;
-
-  /// Cumulative traffic counters for this endpoint.
-  virtual TrafficStats stats() const = 0;
 };
 
 /// `Transport` endpoint over the in-process fabric backing the threaded
@@ -91,12 +84,10 @@ class InProcessTransport final : public Transport {
 
   std::size_t rank() const override { return rank_; }
   std::size_t num_ranks() const override { return network_.num_ranks(); }
-  std::string_view kind() const override { return "inproc"; }
   bool send(Message m) override;
   RecvEvent recv() override;
   RecvEvent recv_for(std::chrono::milliseconds timeout) override;
   void close() override;
-  TrafficStats stats() const override;
 
  private:
   InProcNetwork& network_;

@@ -173,8 +173,35 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   return config;
 }
 
+void check_scheme_shape(const ExperimentConfig& config) {
+  const auto& registry = core::SchemeRegistry::instance();
+  const core::SchemeEntry* scheme = registry.find(config.scheme);
+  if (scheme == nullptr) {
+    throw std::invalid_argument(registry.unknown_message(config.scheme));
+  }
+  const std::size_t n = config.num_workers;
+  const std::size_t m = config.num_units;
+  const std::size_t r = config.load;
+  if (scheme->caps.requires_units_equal_workers && m != n) {
+    throw std::invalid_argument("scheme '" + config.scheme +
+                                "' requires m == n, got n=" +
+                                std::to_string(n) + " m=" + std::to_string(m));
+  }
+  if (scheme->caps.requires_load_divides_workers && r == 0) {
+    throw std::invalid_argument("scheme '" + config.scheme +
+                                "' requires r >= 1, got r=0");
+  }
+  if (scheme->caps.requires_load_divides_workers && n % r != 0) {
+    throw std::invalid_argument("scheme '" + config.scheme +
+                                "' requires r | n, got n=" +
+                                std::to_string(n) + " r=" + std::to_string(r));
+  }
+}
+
 RunRecord run_experiment(const ExperimentConfig& config) {
-  return check_runnable(config).factory()->run(config);
+  const RuntimeEntry& runtime = check_runnable(config);
+  check_scheme_shape(config);
+  return runtime.factory()->run(config);
 }
 
 AsciiTable summary_table(const std::vector<RunRecord>& records) {

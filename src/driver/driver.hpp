@@ -42,9 +42,18 @@ void add_experiment_flags(CliFlags& flags);
 /// `check_runnable` (runtime_registry.hpp) rejects.
 std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 
+/// The scheme-shape rules of the registry's capability flags, in one
+/// place: throws std::invalid_argument on an unknown scheme, a scheme
+/// that needs m == n under another m, and one that needs r | n under an
+/// r that does not divide n. `run_experiment` and `expand_plan` (per
+/// cell) call it; the scheme factories keep their asserts as internal
+/// invariants.
+void check_scheme_shape(const ExperimentConfig& config);
+
 /// Runs one (scheme, scenario, runtime) cell through the named runtime.
 /// Throws std::invalid_argument on an unknown name (the message lists
-/// the registered choices) or a config `check_runnable` rejects.
+/// the registered choices) or a config `check_runnable` or
+/// `check_scheme_shape` rejects.
 RunRecord run_experiment(const ExperimentConfig& config);
 
 /// Renders records as the standard Table I/II breakdown (scheme,

@@ -5,10 +5,8 @@
 #include <future>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 
-#include "core/scheme_registry.hpp"
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
 #include "util/thread_pool.hpp"
@@ -32,33 +30,9 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
   const auto iterations = axis_or(plan.iterations, plan.base.iterations);
   const auto seeds = axis_or(plan.seeds, plan.base.seed);
 
-  // Fail on any bad scheme name before running a single cell; every cell
-  // then passes the schemes' structural requirements and check_runnable,
-  // so a sweep cannot burn half its cells before discovering a bad
-  // combination.
-  const auto& scheme_registry = core::SchemeRegistry::instance();
-  for (const auto& scheme : schemes) {
-    if (scheme_registry.find(scheme) == nullptr) {
-      throw std::invalid_argument(scheme_registry.unknown_message(scheme));
-    }
-  }
-  auto check_caps = [&](const std::string& scheme, std::size_t n,
-                        std::size_t m, std::size_t r) {
-    const auto& caps = scheme_registry.find(scheme)->caps;
-    if (caps.requires_units_equal_workers && m != n) {
-      throw std::invalid_argument("scheme '" + scheme +
-                                  "' requires m == n, but a sweep cell has "
-                                  "n=" + std::to_string(n) +
-                                  " m=" + std::to_string(m));
-    }
-    if (caps.requires_load_divides_workers && (r == 0 || n % r != 0)) {
-      throw std::invalid_argument("scheme '" + scheme +
-                                  "' requires r | n, but a sweep cell has "
-                                  "n=" + std::to_string(n) +
-                                  " r=" + std::to_string(r));
-    }
-  };
-
+  // Every cell passes check_scheme_shape (unknown scheme names
+  // included) and check_runnable before a single cell runs, so a sweep
+  // cannot burn half its cells before discovering a bad combination.
   std::vector<SweepCell> cells;
   for (const auto& scheme : schemes) {
     for (const auto& scenario : scenarios) {
@@ -68,7 +42,6 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
         const auto units = axis_or(plan.units, n);
         for (std::size_t m : units) {
           for (std::size_t r : loads) {
-            check_caps(scheme, n, m, r);
             for (std::size_t iters : iterations) {
               for (std::uint64_t seed : seeds) {
                 SweepCell cell;
@@ -81,6 +54,7 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
                 cell.config.load = r;
                 cell.config.iterations = iters;
                 cell.config.seed = seed;
+                check_scheme_shape(cell.config);
                 check_runnable(cell.config);
                 cells.push_back(std::move(cell));
               }

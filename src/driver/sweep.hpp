@@ -62,11 +62,11 @@ struct SweepCell {
 
 /// Expands the plan into cells. Axis nesting, outermost to innermost:
 /// scheme, scenario, workers, units, load, iterations, seed. Validates
-/// up front — unknown scheme names (the diagnostic lists the registered
-/// choices), scheme capability violations (m != n for CR/FR, r not
-/// dividing n for FR), and every cell through `check_runnable`
-/// (runtime_registry.hpp), which also sees each cell's own n — and
-/// throws std::invalid_argument, so a sweep cannot fail halfway through.
+/// every cell up front through `check_scheme_shape` (driver.hpp: unknown
+/// scheme names, m != n for CR/FR, r not dividing n for FR) and
+/// `check_runnable` (runtime_registry.hpp), each of which sees the
+/// cell's own n, and throws std::invalid_argument, so a sweep cannot
+/// fail halfway through.
 std::vector<SweepCell> expand_plan(const SweepPlan& plan);
 
 struct SweepOptions {

@@ -3,10 +3,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <ctime>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -19,13 +19,19 @@ namespace coupon::runtime {
 
 namespace {
 
-constexpr auto kHandshakeTimeout = std::chrono::milliseconds(10000);
 constexpr auto kReapDeadline = std::chrono::milliseconds(5000);
 
-void close_if_open(int& fd) {
-  if (fd >= 0) {
+/// Held from a worker stream's creation until the parent has closed the
+/// worker's end, so that end is open in the parent only while the lock
+/// is held. Every cluster in the process forks under it, so no child of
+/// a concurrently wired cluster (the sweep pool runs cells in parallel)
+/// inherits another worker's end and keeps it open past that worker's
+/// death, which would hide the EOF the master waits for.
+std::mutex wiring_mutex;
+
+void close_all(const std::vector<int>& fds) {
+  for (int fd : fds) {
     ::close(fd);
-    fd = -1;
   }
 }
 
@@ -70,30 +76,17 @@ void reap_with_deadline(std::vector<pid_t>& pids) {
   kill_and_reap(pids);
 }
 
-/// The worker-process body: the rank handshake, the shared worker loop,
-/// and the process exit each way the loop can end. Runs in the forked
-/// child, which inherited `scheme` and `source` from the master's memory
-/// image; never returns.
+/// The worker-process body: the shared worker loop and the process exit
+/// each way the loop can end. Runs in the forked child, which inherited
+/// `scheme` and `source` from the master's memory image; never returns.
 [[noreturn]] void worker_process_main(const core::Scheme& scheme,
                                       const core::UnitGradientSource& source,
                                       std::size_t worker_index,
                                       std::uint64_t seed,
                                       const ProcessTrainOptions& options,
-                                      int stream_fd, bool announce_rank) {
-  const std::size_t rank = worker_index + 1;
-  auto transport = comm::TcpTransport::worker(stream_fd, rank,
+                                      int stream_fd) {
+  auto transport = comm::TcpTransport::worker(stream_fd, worker_index + 1,
                                               scheme.num_workers() + 1);
-  if (announce_rank) {
-    // TCP mode: accepted connections arrive in arbitrary order, so the
-    // first frame names the rank behind this stream.
-    comm::Message hello;
-    hello.dest = 0;
-    hello.tag = comm::kTagHello;
-    hello.meta = {static_cast<std::int64_t>(rank)};
-    if (!transport->send(std::move(hello))) {
-      ::_exit(1);
-    }
-  }
   std::optional<std::size_t> crash_at;
   if (options.crash && options.crash->worker == worker_index) {
     crash_at = options.crash->iteration;
@@ -152,108 +145,50 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
 
   const std::vector<std::uint64_t> seeds = worker_seeds(straggler_seed_, n);
 
-  // Preferred wiring: loopback TCP through an ephemeral-port listener.
-  // Sandboxes that forbid it fall back to AF_UNIX socketpairs created
-  // before the forks; both carry the identical framing.
-  auto listener = comm::TcpListener::open();
-  std::vector<int> parent_fds(n, -1);
-  std::vector<int> child_fds(n, -1);
-  if (listener == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      int pair[2];
-      if (!comm::make_stream_socketpair(pair)) {
-        for (std::size_t j = 0; j < i; ++j) {
-          close_if_open(parent_fds[j]);
-          close_if_open(child_fds[j]);
-        }
-        throw std::runtime_error(
-            "process runtime: socketpair() failed while wiring workers");
-      }
-      parent_fds[i] = pair[0];
-      child_fds[i] = pair[1];
-    }
-  }
-
+  // One procedure for every worker: make its stream pair, fork, and let
+  // each side close the other's end. Worker i's stream is master_fds[i],
+  // so the rank behind a stream is known from how it was built.
+  std::vector<int> master_fds;
   std::vector<pid_t> pids;
+  master_fds.reserve(n);
   pids.reserve(n);
+  auto abandon = [&] {
+    close_all(master_fds);
+    kill_and_reap(pids);
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      kill_and_reap(pids);
-      for (std::size_t j = 0; j < n; ++j) {
-        close_if_open(parent_fds[j]);
-        close_if_open(child_fds[j]);
+    int pair[2];
+    pid_t pid = -1;
+    {
+      const std::lock_guard<std::mutex> wiring(wiring_mutex);
+      if (!comm::make_stream_pair(pair)) {
+        abandon();
+        throw std::runtime_error(
+            "process runtime: cannot create a worker stream");
       }
+      pid = ::fork();
+      if (pid == 0) {
+        // Child: keep only this worker's end. A master end left open
+        // here would outlive a dead master, and the worker would never
+        // see EOF.
+        close_all(master_fds);
+        ::close(pair[0]);
+        worker_process_main(scheme_, source_, i, seeds[i], options, pair[1]);
+      }
+      ::close(pair[1]);
+    }
+    if (pid < 0) {
+      ::close(pair[0]);
+      abandon();
       throw std::runtime_error("process runtime: fork() failed");
     }
-    if (pid == 0) {
-      // Child: sever every descriptor that is not this worker's own
-      // stream. Holding a copy of a sibling's socket would keep that
-      // socket open past the sibling's death and mask its EOF — the
-      // crash signal the master relies on.
-      if (listener != nullptr) {
-        ::close(listener->fd());
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        close_if_open(parent_fds[j]);
-        if (j != i) {
-          close_if_open(child_fds[j]);
-        }
-      }
-      int stream_fd = child_fds[i];
-      if (stream_fd < 0) {
-        stream_fd = comm::tcp_connect_loopback(listener->port(),
-                                               kHandshakeTimeout);
-        if (stream_fd < 0) {
-          ::_exit(1);
-        }
-      }
-      worker_process_main(scheme_, source_, i, seeds[i], options, stream_fd,
-                          /*announce_rank=*/listener != nullptr);
-    }
+    master_fds.push_back(pair[0]);
     pids.push_back(pid);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    close_if_open(child_fds[i]);  // the children own these now
-  }
-
-  // Collect the worker streams, rank-ordered.
-  std::vector<int> fds(n, -1);
-  if (listener != nullptr) {
-    auto handshake_failed = [&](int pending_fd) {
-      if (pending_fd >= 0) {
-        ::close(pending_fd);
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        close_if_open(fds[j]);
-      }
-      kill_and_reap(pids);
-    };
-    for (std::size_t k = 0; k < n; ++k) {
-      const int fd = listener->accept_fd(kHandshakeTimeout);
-      comm::Message hello;
-      const bool ok =
-          fd >= 0 &&
-          comm::recv_frame(fd, kHandshakeTimeout, hello) ==
-              comm::FrameStatus::kMessage &&
-          hello.tag == comm::kTagHello && hello.meta.size() == 1 &&
-          hello.meta[0] >= 1 &&
-          hello.meta[0] <= static_cast<std::int64_t>(n) &&
-          fds[static_cast<std::size_t>(hello.meta[0]) - 1] < 0;
-      if (!ok) {
-        handshake_failed(fd);
-        throw std::runtime_error(
-            "process runtime: worker connection handshake failed");
-      }
-      fds[static_cast<std::size_t>(hello.meta[0]) - 1] = fd;
-    }
-  } else {
-    fds = std::move(parent_fds);
   }
 
   ProcessTrainResult result;
-  {
-    auto transport = comm::TcpTransport::master(std::move(fds));
+  try {
+    auto transport = comm::TcpTransport::master(std::move(master_fds));
     TransportProvider provider(*transport, n,
                                {.worker_timeout = options.worker_timeout,
                                 .elasticity = options.elasticity});
@@ -273,6 +208,9 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
       }
     }
     transport->close();
+  } catch (...) {
+    reap_with_deadline(pids);  // the transport's close told them to exit
+    throw;
   }
   reap_with_deadline(pids);
   return result;

@@ -4,14 +4,14 @@
 /// Multi-process master/worker cluster over stream sockets (DESIGN.md §9).
 ///
 /// The parameter-server-shaped sibling of ThreadCluster: `train()` forks
-/// one OS process per scheme worker, connects each over a loopback TCP
-/// stream (or an AF_UNIX socketpair where the sandbox forbids TCP), and
-/// runs the shared `engine::TrainingEngine` protocol through the shared
-/// `TransportProvider` over a `TcpTransport` endpoint; each child runs
-/// the shared `serve_worker` loop (runtime/worker.hpp). Workers inherit
-/// the scheme and dataset by fork — the master's memory image is the
-/// "shared filesystem"; only models and gradients cross the wire, as in
-/// the paper's MPI setup.
+/// one OS process per scheme worker, each over a stream made before its
+/// fork (loopback TCP, or an AF_UNIX socketpair where the sandbox forbids
+/// TCP), and runs the shared `engine::TrainingEngine` protocol through
+/// the shared `TransportProvider` over a `TcpTransport` endpoint; each
+/// child runs the shared `serve_worker` loop (runtime/worker.hpp).
+/// Workers inherit the scheme and dataset by fork — the master's memory
+/// image is the "shared filesystem"; only models and gradients cross the
+/// wire, as in the paper's MPI setup.
 ///
 /// Crash tolerance is first-class: a worker death (SIGKILL included)
 /// closes its socket, the master observes EOF mid-iteration, shrinks the

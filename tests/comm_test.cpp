@@ -252,23 +252,6 @@ TEST(InProcNetwork, RecvForTimesOut) {
             PopStatus::kTimeout);
 }
 
-TEST(InProcNetwork, StatsCountTraffic) {
-  InProcNetwork net(2);
-  Message m = sample_message();
-  m.source = 0;
-  m.dest = 1;
-  net.send(m);
-  net.send(m);
-  Message got;
-  ASSERT_EQ(net.recv(1, got), PopStatus::kItem);
-  const auto s0 = net.stats(0);
-  const auto s1 = net.stats(1);
-  EXPECT_EQ(s0.messages_sent, 2u);
-  EXPECT_EQ(s0.bytes_sent, 2 * m.wire_size());
-  EXPECT_EQ(s0.payload_units_sent, 2 * m.payload.size());
-  EXPECT_EQ(s1.messages_received, 1u);
-}
-
 TEST(InProcNetwork, BadRankAsserts) {
   InProcNetwork net(2);
   Message m;
@@ -330,7 +313,6 @@ TEST(InProcessTransport, RoundTripBothDirections) {
   InProcNetwork net(2);
   InProcessTransport master(net, 0);
   InProcessTransport worker(net, 1);
-  EXPECT_EQ(master.kind(), "inproc");
   EXPECT_EQ(master.rank(), 0u);
   EXPECT_EQ(master.num_ranks(), 2u);
 
@@ -367,19 +349,21 @@ TEST(TcpTransport, FramingRoundTripOverSocketpair) {
   }
   int fds[2];
   ASSERT_TRUE(make_stream_socketpair(fds));
-  const Message m = sample_message();
-  ASSERT_TRUE(send_frame(fds[0], m));
-  Message out;
-  ASSERT_EQ(recv_frame(fds[1], std::chrono::milliseconds(1000), out),
-            FrameStatus::kMessage);
-  EXPECT_EQ(out, m);
+  auto master = TcpTransport::master({fds[0]});
+  auto worker = TcpTransport::worker(fds[1], 1, 2);
+  Message m = sample_message();
+  m.source = 0;  // what send stamps
+  m.dest = 1;
+  ASSERT_TRUE(master->send(m));
+  RecvEvent event = worker->recv_for(std::chrono::milliseconds(1000));
+  ASSERT_EQ(event.status, RecvStatus::kMessage);
+  EXPECT_EQ(event.message, m);
   // Timeout with no bytes pending, then EOF when the peer closes.
-  EXPECT_EQ(recv_frame(fds[1], std::chrono::milliseconds(10), out),
-            FrameStatus::kTimeout);
-  ::close(fds[0]);
-  EXPECT_EQ(recv_frame(fds[1], std::chrono::milliseconds(1000), out),
-            FrameStatus::kClosed);
-  ::close(fds[1]);
+  EXPECT_EQ(worker->recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kTimeout);
+  master->close();
+  EXPECT_EQ(worker->recv_for(std::chrono::milliseconds(1000)).status,
+            RecvStatus::kClosed);
 }
 
 TEST(TcpTransport, FramingFuzzSizesOverSocketpair) {
@@ -388,12 +372,13 @@ TEST(TcpTransport, FramingFuzzSizesOverSocketpair) {
   }
   int fds[2];
   ASSERT_TRUE(make_stream_socketpair(fds));
-  stats::Rng rng(7);
+  auto master = TcpTransport::master({fds[0]});
+  auto worker = TcpTransport::worker(fds[1], 1, 2);
   std::thread sender([&] {
     stats::Rng sender_rng(7);
     for (int trial = 0; trial < 50; ++trial) {
       Message m;
-      m.dest = 0;
+      m.dest = 1;
       m.tag = kTagGradient;
       m.iteration = trial;
       m.meta.resize(sender_rng.uniform_int(64));
@@ -404,21 +389,18 @@ TEST(TcpTransport, FramingFuzzSizesOverSocketpair) {
       for (auto& v : m.payload) {
         v = sender_rng.normal();
       }
-      ASSERT_TRUE(send_frame(fds[0], m));
+      ASSERT_TRUE(master->send(std::move(m)));
     }
-    ::close(fds[0]);
+    master->close();
   });
   for (int trial = 0; trial < 50; ++trial) {
-    Message out;
-    ASSERT_EQ(recv_frame(fds[1], std::chrono::milliseconds(5000), out),
-              FrameStatus::kMessage);
-    EXPECT_EQ(out.iteration, trial);
+    const RecvEvent event = worker->recv_for(std::chrono::milliseconds(5000));
+    ASSERT_EQ(event.status, RecvStatus::kMessage);
+    EXPECT_EQ(event.message.iteration, trial);
   }
-  Message out;
-  EXPECT_EQ(recv_frame(fds[1], std::chrono::milliseconds(5000), out),
-            FrameStatus::kClosed);
+  EXPECT_EQ(worker->recv_for(std::chrono::milliseconds(5000)).status,
+            RecvStatus::kClosed);
   sender.join();
-  ::close(fds[1]);
 }
 
 TEST(TcpTransport, MasterWorkerRoundTripAndPeerClosed) {
@@ -432,7 +414,6 @@ TEST(TcpTransport, MasterWorkerRoundTripAndPeerClosed) {
   auto master = TcpTransport::master({a[0], b[0]});
   auto worker1 = TcpTransport::worker(a[1], 1, 3);
   auto worker2 = TcpTransport::worker(b[1], 2, 3);
-  EXPECT_EQ(master->kind(), "tcp");
   EXPECT_EQ(master->num_ranks(), 3u);
 
   Message m = sample_message();
@@ -465,35 +446,20 @@ TEST(TcpTransport, MasterWorkerRoundTripAndPeerClosed) {
   EXPECT_EQ(master->recv().status, RecvStatus::kClosed);
 }
 
-TEST(TcpTransport, StatsCountTraffic) {
-  if (!socketpair_available()) {
-    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+TEST(TcpTransport, LoopbackStreamPairRoundTrip) {
+  if (!tcp_loopback_available() && !socketpair_available()) {
+    GTEST_SKIP() << "no stream sockets in this sandbox";
   }
   int fds[2];
-  ASSERT_TRUE(make_stream_socketpair(fds));
+  ASSERT_TRUE(make_stream_pair(fds));
+  // Loopback TCP is preferred wherever it works.
+  sockaddr_storage addr;
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fds[1], reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  EXPECT_EQ(addr.ss_family, tcp_loopback_available() ? AF_INET : AF_UNIX);
   auto master = TcpTransport::master({fds[0]});
-  auto worker = TcpTransport::worker(fds[1], 1, 2);
-  Message m = sample_message();
-  const std::size_t wire = m.wire_size();
-  const std::size_t units = m.payload.size();
-  m.dest = 1;
-  ASSERT_TRUE(master->send(std::move(m)));
-  ASSERT_EQ(worker->recv().status, RecvStatus::kMessage);
-  EXPECT_EQ(master->stats().messages_sent, 1u);
-  EXPECT_EQ(master->stats().bytes_sent, wire);
-  EXPECT_EQ(master->stats().payload_units_sent, units);
-  EXPECT_EQ(worker->stats().messages_received, 1u);
-}
-
-TEST(TcpTransport, LoopbackListenerRoundTrip) {
-  if (!tcp_loopback_available()) {
-    GTEST_SKIP() << "no loopback TCP in this sandbox";
-  }
-  auto listener = TcpListener::open();
-  ASSERT_NE(listener, nullptr);
-  std::thread client([port = listener->port()] {
-    const int fd = tcp_connect_loopback(port, std::chrono::milliseconds(5000));
-    ASSERT_GE(fd, 0);
+  std::thread client([fd = fds[1]] {
     auto worker = TcpTransport::worker(fd, 1, 2);
     RecvEvent event = worker->recv();
     ASSERT_EQ(event.status, RecvStatus::kMessage);
@@ -501,9 +467,6 @@ TEST(TcpTransport, LoopbackListenerRoundTrip) {
     reply.dest = 0;
     ASSERT_TRUE(worker->send(std::move(reply)));
   });
-  const int accepted = listener->accept_fd(std::chrono::milliseconds(5000));
-  ASSERT_GE(accepted, 0);
-  auto master = TcpTransport::master({accepted});
   Message m = sample_message();
   m.dest = 1;
   ASSERT_TRUE(master->send(std::move(m)));
@@ -679,20 +642,22 @@ TEST_F(TcpTransportPeers, PeerStalledMidFrameHoldsBackNoOne) {
 
 // --- the master's arrival loop over hand-written worker frames ----------------
 
-/// Iteration 0's gradient reply as a worker claiming rank `source` would
+/// `iteration`'s gradient reply as a worker claiming rank `source` would
 /// write it; `value` tells the replies apart.
-std::vector<std::uint8_t> reply_frame(std::int32_t source, double value,
+std::vector<std::uint8_t> reply_frame(std::int32_t source,
+                                      std::int64_t iteration, double value,
                                       std::int32_t tag = kTagGradient) {
   Message m;
   m.source = source;
   m.dest = 0;
   m.tag = tag;
-  m.iteration = 0;
+  m.iteration = iteration;
   m.payload = {value};
   return frame_bytes(m);
 }
 
-/// Drains iteration 0's arrivals: worker index -> the payload it carried.
+/// Drains the current iteration's arrivals: worker index -> the payload
+/// it carried.
 std::map<std::size_t, double> drain(runtime::TransportProvider& provider) {
   std::map<std::size_t, double> arrivals;
   engine::ArrivalView arrival;
@@ -703,23 +668,23 @@ std::map<std::size_t, double> drain(runtime::TransportProvider& provider) {
   return arrivals;
 }
 
-/// A provider over the fixture's master that has broadcast iteration 0.
-std::unique_ptr<runtime::TransportProvider> provider_at_iteration_zero(
-    Transport& master, std::size_t workers) {
+/// A provider over the fixture's master that has broadcast `iteration`.
+std::unique_ptr<runtime::TransportProvider> provider_at_iteration(
+    Transport& master, std::size_t workers, std::size_t iteration = 0) {
   runtime::TransportProvider::Options options;
   options.worker_timeout = std::chrono::milliseconds(5000);
   auto provider = std::make_unique<runtime::TransportProvider>(
       master, workers, options);
   const std::vector<double> w = {0.5};
-  provider->begin_iteration(0, w);
+  provider->begin_iteration(iteration, w);
   return provider;
 }
 
 TEST_F(TcpTransportPeers, ForeignTagEndsOnlyItsSender) {
   wire(2);
-  auto provider = provider_at_iteration_zero(*master_, 2);
-  write_bytes(0, reply_frame(1, 10.0, kTagHello));
-  write_bytes(1, reply_frame(2, 20.0));
+  auto provider = provider_at_iteration(*master_, 2);
+  write_bytes(0, reply_frame(1, 0, 10.0, kTagShutdown));
+  write_bytes(1, reply_frame(2, 0, 20.0));
   const std::map<std::size_t, double> expected = {{1, 20.0}};
   EXPECT_EQ(drain(*provider), expected);
   EXPECT_FALSE(provider->worker_alive(0));
@@ -730,9 +695,9 @@ TEST_F(TcpTransportPeers, ForeignTagEndsOnlyItsSender) {
 
 TEST_F(TcpTransportPeers, SourceZeroEndsOnlyItsSender) {
   wire(2);
-  auto provider = provider_at_iteration_zero(*master_, 2);
-  write_bytes(0, reply_frame(0, 10.0));
-  write_bytes(1, reply_frame(2, 20.0));
+  auto provider = provider_at_iteration(*master_, 2);
+  write_bytes(0, reply_frame(0, 0, 10.0));
+  write_bytes(1, reply_frame(2, 0, 20.0));
   const std::map<std::size_t, double> expected = {{1, 20.0}};
   EXPECT_EQ(drain(*provider), expected);
   EXPECT_FALSE(provider->worker_alive(0));
@@ -742,20 +707,34 @@ TEST_F(TcpTransportPeers, SourceZeroEndsOnlyItsSender) {
 
 TEST_F(TcpTransportPeers, ImpersonatedSourceCannotTakeAnotherWorkersSlot) {
   wire(3);
-  auto provider = provider_at_iteration_zero(*master_, 3);
+  auto provider = provider_at_iteration(*master_, 3);
   // Worker rank 1 claims rank 3, then sends its own reply, which must be
   // dropped too: the first frame ended it.
-  std::vector<std::uint8_t> bytes = reply_frame(3, 10.0);
-  const std::vector<std::uint8_t> own = reply_frame(1, 11.0);
+  std::vector<std::uint8_t> bytes = reply_frame(3, 0, 10.0);
+  const std::vector<std::uint8_t> own = reply_frame(1, 0, 11.0);
   bytes.insert(bytes.end(), own.begin(), own.end());
   write_bytes(0, bytes);
-  write_bytes(1, reply_frame(2, 20.0));
-  write_bytes(2, reply_frame(3, 30.0));
+  write_bytes(1, reply_frame(2, 0, 20.0));
+  write_bytes(2, reply_frame(3, 0, 30.0));
   const std::map<std::size_t, double> expected = {{1, 20.0}, {2, 30.0}};
   EXPECT_EQ(drain(*provider), expected);
   EXPECT_FALSE(provider->worker_alive(0));
   EXPECT_TRUE(provider->worker_alive(2));
   EXPECT_EQ(provider->workers_lost(), 1u);
+  EXPECT_EQ(provider->timed_out_iterations(), 0u);
+}
+
+TEST_F(TcpTransportPeers, StaleReplyIsDroppedAndKeepsItsSender) {
+  wire(1);
+  auto provider = provider_at_iteration(*master_, 1, /*iteration=*/1);
+  std::vector<std::uint8_t> bytes = reply_frame(1, 0, 10.0);
+  const std::vector<std::uint8_t> current = reply_frame(1, 1, 11.0);
+  bytes.insert(bytes.end(), current.begin(), current.end());
+  write_bytes(0, bytes);
+  const std::map<std::size_t, double> expected = {{0, 11.0}};
+  EXPECT_EQ(drain(*provider), expected);
+  EXPECT_TRUE(provider->worker_alive(0));
+  EXPECT_EQ(provider->workers_lost(), 0u);
   EXPECT_EQ(provider->timed_out_iterations(), 0u);
 }
 

@@ -437,6 +437,27 @@ TEST(Driver, UnknownNamesThrowListingChoices) {
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
 }
 
+TEST(Driver, SchemeNeedingEqualUnitsAndWorkersRejectsOtherShapes) {
+  // `coupon_run --scheme cr --workers 6 --units 4 --load 2`: a message,
+  // not the CR factory's assertion.
+  auto config = small_sim_config();
+  config.scheme = "cr";
+  config.num_workers = 6;
+  config.num_units = 4;
+  config.load = 2;
+  EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+}
+
+TEST(Driver, SchemeNeedingLoadDividingWorkersRejectsOtherLoads) {
+  // `coupon_run --scheme fr --workers 6 --units 6 --load 4`.
+  auto config = small_sim_config();
+  config.scheme = "fr";
+  config.num_workers = 6;
+  config.num_units = 6;
+  config.load = 4;
+  EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+}
+
 TEST(Driver, SimOnlyScenarioRejectedUnderThreadedRuntime) {
   for (const std::string name : {"hetero", "lossy", "fast_network"}) {
     auto config = small_sim_config();

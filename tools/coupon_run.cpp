@@ -247,13 +247,20 @@ int run_single(const coupon::driver::ExperimentConfig& config,
     return 1;
   }
 
+  // Only a runtime with worker processes can lose one (the crash drill).
+  std::string lost;
+  if (coupon::driver::RuntimeRegistry::instance()
+          .find(record.runtime)
+          ->caps.spawns_processes) {
+    lost = " workers_lost=" + std::to_string(record.workers_lost);
+  }
   std::fprintf(stderr,
                "%s | scenario=%s runtime=%s n=%zu m=%zu r=%zu iters=%zu | "
-               "mean K=%.2f total=%.3fs failures=%zu\n",
+               "mean K=%.2f total=%.3fs failures=%zu%s\n",
                record.scheme_display.c_str(), record.scenario.c_str(),
                record.runtime.c_str(), record.num_workers, record.num_units,
                record.load, record.iterations, record.recovery_threshold,
-               record.total_time, record.failures);
+               record.total_time, record.failures, lost.c_str());
   if (trained) {
     std::string extras;
     if (record.train_accuracy) {
