@@ -76,9 +76,17 @@ std::vector<RunRecord> run_sweep(const SweepPlan& plan,
   std::vector<std::optional<RunRecord>> slots(cells.size());
   std::vector<std::exception_ptr> errors(cells.size());
 
+  // A runtime that forks workers runs serially on this thread, whatever
+  // options.threads says (SweepOptions::threads gives the reason).
+  // expand_plan has checked the runtime name, which is not an axis, so
+  // the lookup cannot fail.
+  const bool forks = RuntimeRegistry::instance()
+                         .find(plan.base.runtime)
+                         ->caps.spawns_processes;
+
   // Serial path: run in cell order, stream as we go. This is also the
   // reference the parallel path's output must be bit-identical to.
-  if (options.threads == 1) {
+  if (options.threads == 1 || forks) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       try {
         slots[i] = run_experiment(cells[i].config);

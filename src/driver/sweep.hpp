@@ -9,7 +9,9 @@
 /// fully-specified cells in a deterministic order; `run_sweep` executes
 /// the cells on a `coupon::ThreadPool` and streams the finished
 /// `RunRecord`s to a `RecordSink` *in cell order*, regardless of which
-/// worker finishes first.
+/// worker finishes first. Cells of a runtime that forks workers
+/// (`RuntimeCapabilities::spawns_processes`) run one at a time on the
+/// calling thread instead (see `SweepOptions::threads`).
 ///
 /// Determinism contract: each cell is run exactly as `run_experiment`
 /// would run it standalone — its RNG stream is seeded from the cell's own
@@ -71,6 +73,13 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan);
 
 struct SweepOptions {
   /// Worker threads: 0 = hardware concurrency, 1 = serial (no pool).
+  /// A plan whose runtime spawns processes always runs serially on the
+  /// calling thread: the child of a multi-threaded process may make only
+  /// async-signal-safe calls (POSIX), and a worker allocates. glibc's
+  /// malloc locks itself around fork(), but libasan's does not, and a
+  /// worker forked while another cell's thread held one of its locks
+  /// hung in its first allocation. Each cell's workers run in parallel
+  /// anyway.
   std::size_t threads = 0;
   /// Optional streaming consumer; receives records in cell order.
   RecordSink* sink = nullptr;

@@ -23,10 +23,11 @@ constexpr auto kReapDeadline = std::chrono::milliseconds(5000);
 
 /// Held from a worker stream's creation until the parent has closed the
 /// worker's end, so that end is open in the parent only while the lock
-/// is held. Every cluster in the process forks under it, so no child of
-/// a concurrently wired cluster (the sweep pool runs cells in parallel)
-/// inherits another worker's end and keeps it open past that worker's
-/// death, which would hide the EOF the master waits for.
+/// is held. Every cluster in the process forks under it, so when callers
+/// train clusters from several threads at once, no child of one cluster
+/// inherits another's worker end and keeps it open past that worker's
+/// death, which would hide the EOF the master waits for. (run_sweep
+/// never does this: it runs process cells one at a time.)
 std::mutex wiring_mutex;
 
 void close_all(const std::vector<int>& fds) {

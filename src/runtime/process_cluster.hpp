@@ -83,6 +83,11 @@ class ProcessCluster {
   /// distributed GD for `options.iterations` iterations. Throws
   /// std::runtime_error when `supported()` is false or the cluster
   /// cannot be wired up. All workers are reaped before returning.
+  /// The workers allocate after fork(), which is safe only where no
+  /// other thread can hold an allocator lock without a fork handler:
+  /// under glibc's malloc any thread may call this, under ASan only a
+  /// process's sole running thread (run_sweep runs process cells on
+  /// its calling thread for this reason).
   ProcessTrainResult train(opt::IterativeOptimizer& optimizer,
                            const ProcessTrainOptions& options);
 

@@ -1,8 +1,8 @@
 // End-to-end tests of the multi-process socket runtime: real worker OS
 // processes must reproduce the threaded runtime's training exactly from
 // the same seed, survive a SIGKILLed worker mid-iteration via the
-// FailurePolicy, see each crash when clusters are wired concurrently,
-// honour the elastic join/leave scenario, and leave no child behind.
+// FailurePolicy, count each sweep cell's own crash, honour the elastic
+// join/leave scenario, and leave no child behind.
 // Every test skips cleanly in sandboxes without fork()/stream sockets.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 
 #include <cerrno>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/core.hpp"
 #include "data/synthetic.hpp"
@@ -121,13 +123,22 @@ TEST(ProcessRuntime, SurvivesSigkilledWorkerMidIteration) {
   }
 }
 
-TEST(ProcessRuntime, ConcurrentCellsEachSeeTheirOwnCrash) {
+/// Records the thread each record reaches the sink on.
+struct ThreadRecordingSink final : driver::RecordSink {
+  void write(const driver::RunRecord& /*record*/) override {
+    threads.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> threads;
+};
+
+TEST(ProcessRuntime, SweepRunsCellsOnTheCallingThreadAndEachSeesItsCrash) {
   SKIP_WITHOUT_PROCESS_SUPPORT();
-  // Four cells wire and run their clusters at once. A worker's stream end
-  // inherited by another cell's child stays open past that worker's death
-  // and hides its EOF until that child exits. Uncoded waits for every
-  // worker: a cell that never sees its crash times out on the dead worker
-  // every iteration and reports workers_lost = 0.
+  // Four threads are asked for, but process cells fork, so run_sweep
+  // runs them one at a time on this thread: the pool would deliver
+  // records on its own threads, and a worker forked while another
+  // cell's thread held an allocator lock without a fork handler (ASan's)
+  // would hang. Each cell must still count its own crash and leave no
+  // child behind.
   driver::SweepPlan plan;
   plan.base = live_config("process");
   plan.base.scheme = "uncoded";
@@ -136,12 +147,18 @@ TEST(ProcessRuntime, ConcurrentCellsEachSeeTheirOwnCrash) {
   plan.base.crash_iteration = 2;
   plan.base.worker_timeout_ms = 2000;
   plan.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  ThreadRecordingSink sink;
   driver::SweepOptions options;
   options.threads = 4;
+  options.sink = &sink;
   const auto records = driver::run_sweep(plan, options);
   ASSERT_EQ(records.size(), 8u);
   for (const auto& record : records) {
     EXPECT_EQ(record.workers_lost, 1u) << "seed " << record.seed;
+  }
+  ASSERT_EQ(sink.threads.size(), 8u);
+  for (const auto& thread : sink.threads) {
+    EXPECT_EQ(thread, std::this_thread::get_id());
   }
   EXPECT_TRUE(no_children_left());
 }

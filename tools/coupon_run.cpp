@@ -23,9 +23,10 @@
 //   $ coupon_run --sweep --schemes bcc,cr --scenarios shifted_exp,lossy
 //         --loads 2,5,10 --iterations 20 --out sweep.csv --jsonl sweep.jsonl
 //
-// Sweeps run on a thread pool (--threads, 0 = hardware, 1 = serial) with
-// per-cell deterministic seeding: the output is bit-identical to a serial
-// run, and any row reproduces as a single coupon_run invocation. A
+// Sweeps run on a thread pool (--threads, 0 = hardware, 1 = serial;
+// process-runtime cells always run serially) with per-cell deterministic
+// seeding: the output is bit-identical to a serial run, and any row
+// reproduces as a single coupon_run invocation. A
 // run-level summary is always printed to stderr so stdout stays clean
 // CSV when --out=-.
 
@@ -247,20 +248,13 @@ int run_single(const coupon::driver::ExperimentConfig& config,
     return 1;
   }
 
-  // Only a runtime with worker processes can lose one (the crash drill).
-  std::string lost;
-  if (coupon::driver::RuntimeRegistry::instance()
-          .find(record.runtime)
-          ->caps.spawns_processes) {
-    lost = " workers_lost=" + std::to_string(record.workers_lost);
-  }
   std::fprintf(stderr,
                "%s | scenario=%s runtime=%s n=%zu m=%zu r=%zu iters=%zu | "
-               "mean K=%.2f total=%.3fs failures=%zu%s\n",
+               "mean K=%.2f total=%.3fs failures=%zu workers_lost=%zu\n",
                record.scheme_display.c_str(), record.scenario.c_str(),
                record.runtime.c_str(), record.num_workers, record.num_units,
                record.load, record.iterations, record.recovery_threshold,
-               record.total_time, record.failures, lost.c_str());
+               record.total_time, record.failures, record.workers_lost);
   if (trained) {
     std::string extras;
     if (record.train_accuracy) {
@@ -404,7 +398,9 @@ int main(int argc, char** argv) {
                   "sweep: comma-separated iterations axis")
       .add_string("seeds", "", "sweep: comma-separated seed axis")
       .add_string("jsonl", "", "sweep: also write one JSON object per cell")
-      .add_int("threads", 0, "sweep: worker threads (0 = hardware, 1 = serial)")
+      .add_int("threads", 0,
+               "sweep: worker threads (0 = hardware, 1 = serial; "
+               "process cells always run serially)")
       .add_bool("predict", false,
                 "rank (scheme, r) candidates with the analytic oracle — "
                 "exact E[T]/quantiles/failure, zero simulation (use "
