@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Line-coverage gate for the statistical core and the training kernels:
 # builds Debug with gcov instrumentation, runs the test suite, aggregates
-# line coverage over src/core/, src/simulate/, src/stats/, src/analytic/,
-# src/linalg/, and src/opt/, writes coverage-summary.txt, and fails when
-# coverage drops below the recorded baseline
+# line coverage over src/core/, src/data/, src/simulate/, src/stats/,
+# src/analytic/, src/linalg/, and src/opt/, writes coverage-summary.txt,
+# and fails when coverage drops below the recorded baseline
 # (scripts/coverage_baseline.txt).
 #
 # Needs only `gcov` (ships with GCC) — no gcovr/lcov. Usage:
@@ -22,13 +22,13 @@ cmake --build "${BUILD_DIR}" -j
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j 4 > /dev/null
 
 # Aggregate with plain gcov: run it over every .gcda in the coupon
-# library's core/, simulate/, stats/, analytic/, linalg/, and opt/
+# library's core/, data/, simulate/, stats/, analytic/, linalg/, and opt/
 # objects, keep per-source "Lines executed" summaries for files under
 # those trees, and take the max per file across translation units
 # (headers show up in several TUs; the max is what the best-informed TU
 # measured).
 OBJ_DIR="${BUILD_DIR}/src/CMakeFiles/coupon.dir"
-GCDA_FILES=$(find "${OBJ_DIR}/core" "${OBJ_DIR}/simulate" \
+GCDA_FILES=$(find "${OBJ_DIR}/core" "${OBJ_DIR}/data" "${OBJ_DIR}/simulate" \
   "${OBJ_DIR}/stats" "${OBJ_DIR}/analytic" "${OBJ_DIR}/linalg" \
   "${OBJ_DIR}/opt" -name '*.gcda')
 if [ -z "${GCDA_FILES}" ]; then
@@ -44,7 +44,7 @@ gcov -n ${GCDA_FILES} 2>/dev/null |
       file = $2; gsub(/\x27/, "", file); sub(repo, "", file); next
     }
     /^Lines executed:/ {
-      if (file ~ /^src\/(core|simulate|stats|analytic|linalg|opt)\//) {
+      if (file ~ /^src\/(core|data|simulate|stats|analytic|linalg|opt)\//) {
         split($0, parts, /[:% ]+/)
         pct = parts[3]; n = parts[5]
         covered = pct / 100.0 * n
@@ -62,7 +62,7 @@ gcov -n ${GCDA_FILES} 2>/dev/null |
         total += best[f]; total_covered += best_covered[f]
       }
       if (total == 0) { print "no matching source files" > "/dev/stderr"; exit 1 }
-      printf "TOTAL %.2f%% of %d lines in src/core + src/simulate + src/stats + src/analytic + src/linalg + src/opt\n",
+      printf "TOTAL %.2f%% of %d lines in src/core + src/data + src/simulate + src/stats + src/analytic + src/linalg + src/opt\n",
              100.0 * total_covered / total, total
     }' > "${SUMMARY_FILE}.raw"
 

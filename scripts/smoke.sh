@@ -148,6 +148,8 @@ expect_error "requires m == n" "${BUILD_DIR}/tools/coupon_run" --scheme cr \
     --workers 6 --units 4 --load 2 --iterations 2
 expect_error "requires r | n" "${BUILD_DIR}/tools/coupon_run" --scheme fr \
     --workers 6 --units 6 --load 4 --iterations 2
+expect_error "requires n >= ceil(m/r)" "${BUILD_DIR}/tools/coupon_run" \
+    --scheme bcc --workers 5 --units 100 --load 2 --iterations 2
 # A zero load is a ranked-table footnote, not a crash.
 echo "==> coupon_run --predict --scheme all --loads 0"
 timeout 10 "${BUILD_DIR}/tools/coupon_run" --predict --scheme all --loads 0 \

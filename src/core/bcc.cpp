@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "core/theory.hpp"
 #include "linalg/vector_ops.hpp"
@@ -93,25 +94,31 @@ class BccCollector final : public Collector {
   bool ready_ = false;
 };
 
-data::Placement draw_placement(std::size_t num_workers,
-                               const data::BatchPartition& partition,
-                               bool seed_first_batches, stats::Rng& rng,
-                               std::vector<std::size_t>& batch_choice) {
-  const std::size_t batches = partition.num_batches();
-  data::Placement placement(num_workers, partition.num_examples());
-  batch_choice.resize(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    std::size_t b;
-    if (seed_first_batches && i < batches) {
-      b = i;
-    } else {
-      b = static_cast<std::size_t>(rng.uniform_int(batches));
-    }
-    batch_choice[i] = b;
-    auto span = partition.indices(b);
-    placement.worker(i).assign(span.begin(), span.end());
+/// The B = ceil(m/r) batches {b r, ..., min(b r + r, m) - 1} in batch
+/// order (data::BatchPartition's slices), and each worker's draw as its
+/// set index: every worker that picks batch b shares one copy of it.
+data::Placement draw_placement(std::size_t num_workers, std::size_t num_units,
+                               std::size_t load, bool seed_first_batches,
+                               stats::Rng& rng) {
+  COUPON_ASSERT_MSG(num_units > 0 && load > 0,
+                    "m=" << num_units << " r=" << load);
+  const std::size_t batches = (num_units - 1) / load + 1;
+  COUPON_ASSERT_MSG(num_workers >= batches,
+                    "need n >= ceil(m/r) workers to cover all batches");
+  std::vector<std::vector<std::size_t>> sets(batches);
+  for (std::size_t b = 0; b < batches; ++b) {
+    sets[b].resize(std::min(load, num_units - b * load));
+    std::iota(sets[b].begin(), sets[b].end(), b * load);
   }
-  return placement;
+  std::vector<std::size_t> batch_choice(num_workers);
+  for (std::size_t i = 0; i < num_workers; ++i) {
+    if (seed_first_batches && i < batches) {
+      batch_choice[i] = i;
+    } else {
+      batch_choice[i] = static_cast<std::size_t>(rng.uniform_int(batches));
+    }
+  }
+  return data::Placement(num_units, std::move(sets), std::move(batch_choice));
 }
 
 }  // namespace
@@ -119,12 +126,8 @@ data::Placement draw_placement(std::size_t num_workers,
 BccScheme::BccScheme(std::size_t num_workers, std::size_t num_units,
                      std::size_t load, bool seed_first_batches,
                      stats::Rng& rng)
-    : Scheme(data::Placement()), partition_(num_units, load) {
-  COUPON_ASSERT_MSG(num_workers >= partition_.num_batches(),
-                    "need n >= ceil(m/r) workers to cover all batches");
-  placement_ = draw_placement(num_workers, partition_, seed_first_batches,
-                              rng, batch_choice_);
-}
+    : Scheme(draw_placement(num_workers, num_units, load, seed_first_batches,
+                            rng)) {}
 
 comm::Message BccScheme::encode(std::size_t worker,
                                 const UnitGradientSource& source,
@@ -141,33 +144,32 @@ void BccScheme::encode_into(std::size_t worker,
                             comm::Message& out) const {
   COUPON_ASSERT(worker < num_workers());
   COUPON_ASSERT(source.num_units() == num_units());
-  out.meta.assign(1, static_cast<std::int64_t>(batch_choice_[worker]));
+  out.meta.assign(1, static_cast<std::int64_t>(batch_of_worker(worker)));
   out.payload.assign(source.dim(), 0.0);
   source.accumulate_units_gradient(placement_.worker(worker), w,
                                    out.payload);
 }
 
 std::vector<std::int64_t> BccScheme::message_meta(std::size_t worker) const {
-  COUPON_ASSERT(worker < num_workers());
-  return {static_cast<std::int64_t>(batch_choice_[worker])};
+  return {static_cast<std::int64_t>(batch_of_worker(worker))};
 }
 
 std::unique_ptr<Collector> BccScheme::make_collector() const {
-  std::vector<std::size_t> batch_units(partition_.num_batches());
+  std::vector<std::size_t> batch_units(num_batches());
   for (std::size_t b = 0; b < batch_units.size(); ++b) {
-    batch_units[b] = partition_.actual_size(b);
+    batch_units[b] = placement_.set(b).size();
   }
   return std::make_unique<BccCollector>(std::move(batch_units));
 }
 
 std::optional<double> BccScheme::expected_recovery_threshold() const {
-  const auto b = static_cast<double>(partition_.num_batches());
-  return b * theory::harmonic(partition_.num_batches());
+  const auto b = static_cast<double>(num_batches());
+  return b * theory::harmonic(num_batches());
 }
 
 std::size_t BccScheme::batch_of_worker(std::size_t worker) const {
   COUPON_ASSERT(worker < num_workers());
-  return batch_choice_[worker];
+  return placement_.set_of_worker(worker);
 }
 
 double BccScheme::coverage_failure_probability(std::size_t num_workers,

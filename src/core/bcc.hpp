@@ -13,7 +13,6 @@
 /// threshold K_BCC = B * H_B of Theorem 1.
 
 #include "core/scheme.hpp"
-#include "data/batching.hpp"
 
 namespace coupon::core {
 
@@ -55,10 +54,11 @@ class BccScheme final : public Scheme {
   /// Coverage needs at least one message per batch: B = ceil(m/r).
   std::size_t min_arrivals_hint() const override { return num_batches(); }
 
-  /// Number of batches B = ceil(m/r).
-  std::size_t num_batches() const { return partition_.num_batches(); }
+  /// Number of batches B = ceil(m/r): the placement's sets.
+  std::size_t num_batches() const { return placement_.num_sets(); }
 
-  /// The batch chosen by `worker` (sigma_i in the paper).
+  /// The batch chosen by `worker` (sigma_i in the paper): its set index
+  /// in the placement, which stores each batch once.
   std::size_t batch_of_worker(std::size_t worker) const;
 
   /// Probability that the n workers' random choices miss at least one
@@ -66,10 +66,6 @@ class BccScheme final : public Scheme {
   /// exactly computed by inclusion-exclusion.
   static double coverage_failure_probability(std::size_t num_workers,
                                              std::size_t num_batches);
-
- private:
-  data::BatchPartition partition_;
-  std::vector<std::size_t> batch_choice_;  // per worker
 };
 
 }  // namespace coupon::core

@@ -92,15 +92,15 @@ class CrCollector final : public Collector {
 };
 
 data::Placement cyclic_placement(std::size_t n, std::size_t r) {
-  data::Placement placement(n, n);
+  std::vector<std::vector<std::size_t>> sets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto& g = placement.worker(i);
+    auto& g = sets[i];
     g.reserve(r);
     for (std::size_t t = 0; t < r; ++t) {
       g.push_back((i + t) % n);
     }
   }
-  return placement;
+  return data::Placement(n, std::move(sets));
 }
 
 /// One attempt at Tandon et al.'s Algorithm 2. Returns nullopt when an

@@ -1,6 +1,7 @@
 #include "core/fractional_repetition.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
@@ -85,32 +86,29 @@ class FrCollector final : public Collector {
   bool ready_ = false;
 };
 
+/// The n/r blocks of r consecutive units, stored once; worker i holds
+/// block i mod (n/r).
 data::Placement fr_placement(std::size_t n, std::size_t r) {
-  data::Placement placement(n, n);
-  const std::size_t workers_per_group = n / r;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t block = i % workers_per_group;
-    auto& g = placement.worker(i);
-    g.reserve(r);
-    for (std::size_t t = 0; t < r; ++t) {
-      g.push_back(block * r + t);
-    }
+  COUPON_ASSERT_MSG(r >= 1 && r <= n, "FR load must satisfy 1 <= r <= n");
+  COUPON_ASSERT_MSG(n % r == 0, "FR requires r | n, got n=" << n << " r=" << r);
+  const std::size_t blocks = n / r;
+  std::vector<std::vector<std::size_t>> sets(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    sets[b].resize(r);
+    std::iota(sets[b].begin(), sets[b].end(), b * r);
   }
-  return placement;
+  std::vector<std::size_t> block_of_worker(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    block_of_worker[i] = i % blocks;
+  }
+  return data::Placement(n, std::move(sets), std::move(block_of_worker));
 }
 
 }  // namespace
 
 FractionalRepetitionScheme::FractionalRepetitionScheme(
     std::size_t num_workers, std::size_t load)
-    : Scheme(data::Placement()), load_(load) {
-  COUPON_ASSERT_MSG(load >= 1 && load <= num_workers,
-                    "FR load must satisfy 1 <= r <= n");
-  COUPON_ASSERT_MSG(num_workers % load == 0,
-                    "FR requires r | n, got n=" << num_workers
-                                                << " r=" << load);
-  placement_ = fr_placement(num_workers, load);
-}
+    : Scheme(fr_placement(num_workers, load)), load_(load) {}
 
 comm::Message FractionalRepetitionScheme::encode(
     std::size_t worker, const UnitGradientSource& source,
@@ -140,7 +138,7 @@ std::unique_ptr<Collector> FractionalRepetitionScheme::make_collector() const {
 std::size_t FractionalRepetitionScheme::block_of_worker(
     std::size_t worker) const {
   COUPON_ASSERT(worker < num_workers());
-  return worker % (num_workers() / load_);
+  return placement_.set_of_worker(worker);
 }
 
 }  // namespace coupon::core

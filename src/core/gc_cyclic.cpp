@@ -116,15 +116,15 @@ class GcCyclicCollector final : public Collector {
 };
 
 data::Placement cyclic_windows(std::size_t num_workers, std::size_t load) {
-  data::Placement placement(num_workers, num_workers);
+  std::vector<std::vector<std::size_t>> sets(num_workers);
   for (std::size_t i = 0; i < num_workers; ++i) {
-    auto& g = placement.worker(i);
+    auto& g = sets[i];
     g.reserve(load);
     for (std::size_t k = 0; k < load; ++k) {
       g.push_back((i + k) % num_workers);
     }
   }
-  return placement;
+  return data::Placement(num_workers, std::move(sets));
 }
 
 }  // namespace

@@ -107,16 +107,15 @@ class SgcCollector final : public Collector {
 /// exactly r units (pair-wise balanced redundancy).
 data::Placement balanced_random(std::size_t n, std::size_t load,
                                 stats::Rng& rng) {
-  data::Placement placement(n, n);
+  std::vector<std::vector<std::size_t>> sets(n);
   if (load == n) {
     // Full replication: the only balanced placement is "everyone holds
     // everything" — nothing random left to draw.
-    for (std::size_t w = 0; w < n; ++w) {
-      auto& g = placement.worker(w);
+    for (auto& g : sets) {
       g.resize(n);
       std::iota(g.begin(), g.end(), std::size_t{0});
     }
-    return placement;
+    return data::Placement(n, std::move(sets));
   }
   // held[w] tracks worker w's unit set for O(1) duplicate checks.
   std::vector<std::vector<bool>> held(n, std::vector<bool>(n, false));
@@ -150,13 +149,13 @@ data::Placement balanced_random(std::size_t n, std::size_t load,
     COUPON_ASSERT_MSG(round_ok, "sgc placement repair failed to converge");
     for (std::size_t w = 0; w < n; ++w) {
       held[w][perm[w]] = true;
-      placement.worker(w).push_back(perm[w]);
+      sets[w].push_back(perm[w]);
     }
   }
-  for (std::size_t w = 0; w < n; ++w) {
-    std::sort(placement.worker(w).begin(), placement.worker(w).end());
+  for (auto& g : sets) {
+    std::sort(g.begin(), g.end());
   }
-  return placement;
+  return data::Placement(n, std::move(sets));
 }
 
 }  // namespace

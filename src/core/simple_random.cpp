@@ -100,11 +100,11 @@ class SimpleRandomCollector final : public Collector {
 
 data::Placement draw_placement(std::size_t num_workers, std::size_t num_units,
                                std::size_t load, stats::Rng& rng) {
-  data::Placement placement(num_workers, num_units);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    placement.worker(i) = rng.sample_without_replacement(num_units, load);
+  std::vector<std::vector<std::size_t>> sets(num_workers);
+  for (auto& g : sets) {
+    g = rng.sample_without_replacement(num_units, load);
   }
-  return placement;
+  return data::Placement(num_units, std::move(sets));
 }
 
 }  // namespace

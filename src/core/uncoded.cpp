@@ -85,20 +85,20 @@ class UncodedCollector final : public Collector {
 };
 
 data::Placement even_split(std::size_t num_workers, std::size_t num_units) {
-  data::Placement placement(num_workers, num_units);
+  std::vector<std::vector<std::size_t>> sets(num_workers);
   const std::size_t base = num_units / num_workers;
   const std::size_t extra = num_units % num_workers;
   std::size_t next = 0;
   for (std::size_t i = 0; i < num_workers; ++i) {
     const std::size_t len = base + (i < extra ? 1 : 0);
-    auto& g = placement.worker(i);
+    auto& g = sets[i];
     g.reserve(len);
     for (std::size_t k = 0; k < len; ++k) {
       g.push_back(next++);
     }
   }
   COUPON_ASSERT(next == num_units);
-  return placement;
+  return data::Placement(num_units, std::move(sets));
 }
 
 }  // namespace

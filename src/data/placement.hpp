@@ -7,6 +7,13 @@
 /// side, worker vertices on the other, with an edge (d_j, k_i) when
 /// worker i computes the partial gradient g_j. Definition 1's
 /// computational load r is the maximum worker degree.
+///
+/// Layout: each distinct unit set is stored once, and each worker holds
+/// an index into those sets. BCC's workers share its ceil(m/r) batches
+/// and FR's share its n/r blocks, so a million-worker BCC placement is
+/// ceil(m/r) sets plus n indices rather than n copies of a batch
+/// (DESIGN.md §7.6). Schemes whose workers hold different sets pass one
+/// set per worker.
 
 #include <cstddef>
 #include <vector>
@@ -16,20 +23,34 @@ namespace coupon::data {
 /// Per-worker example assignment (the sets G_i of the paper).
 class Placement {
  public:
-  Placement() = default;
+  /// Worker i holds `sets[set_of_worker[i]]`. A set no worker indexes is
+  /// allowed (a BCC batch nobody drew) and counts for nothing. Asserts
+  /// that every index is below `sets.size()`.
+  Placement(std::size_t num_examples,
+            std::vector<std::vector<std::size_t>> sets,
+            std::vector<std::size_t> set_of_worker);
 
-  /// Creates a placement for `num_workers` workers over `num_examples`
-  /// examples with all G_i initially empty.
-  Placement(std::size_t num_workers, std::size_t num_examples)
-      : num_examples_(num_examples), assignments_(num_workers) {}
+  /// One set per worker: worker i holds `per_worker[i]`.
+  Placement(std::size_t num_examples,
+            std::vector<std::vector<std::size_t>> per_worker);
 
-  std::size_t num_workers() const { return assignments_.size(); }
+  std::size_t num_workers() const { return set_of_worker_.size(); }
   std::size_t num_examples() const { return num_examples_; }
 
-  /// Mutable/const access to G_i.
-  std::vector<std::size_t>& worker(std::size_t i) { return assignments_[i]; }
+  /// G_i. Workers with the same set index return the same object.
   const std::vector<std::size_t>& worker(std::size_t i) const {
-    return assignments_[i];
+    return sets_[set_of_worker(i)];
+  }
+
+  /// Index of worker i's set (BCC's batch, FR's block).
+  std::size_t set_of_worker(std::size_t i) const {
+    return set_of_worker_[i];
+  }
+
+  /// The distinct sets, held by workers or not.
+  std::size_t num_sets() const { return sets_.size(); }
+  const std::vector<std::size_t>& set(std::size_t s) const {
+    return sets_[s];
   }
 
   /// Definition 1: the computational load r = max_i |G_i|.
@@ -47,7 +68,8 @@ class Placement {
 
  private:
   std::size_t num_examples_ = 0;
-  std::vector<std::vector<std::size_t>> assignments_;
+  std::vector<std::vector<std::size_t>> sets_;
+  std::vector<std::size_t> set_of_worker_;
 };
 
 }  // namespace coupon::data

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "core/scheme_registry.hpp"
 #include "driver/runtime_registry.hpp"
@@ -182,20 +183,23 @@ void check_scheme_shape(const ExperimentConfig& config) {
   const std::size_t n = config.num_workers;
   const std::size_t m = config.num_units;
   const std::size_t r = config.load;
-  if (scheme->caps.requires_units_equal_workers && m != n) {
-    throw std::invalid_argument("scheme '" + config.scheme +
-                                "' requires m == n, got n=" +
-                                std::to_string(n) + " m=" + std::to_string(m));
-  }
-  if (scheme->caps.requires_load_divides_workers && r == 0) {
-    throw std::invalid_argument("scheme '" + config.scheme +
-                                "' requires r >= 1, got r=0");
-  }
-  if (scheme->caps.requires_load_divides_workers && n % r != 0) {
-    throw std::invalid_argument("scheme '" + config.scheme +
-                                "' requires r | n, got n=" +
-                                std::to_string(n) + " r=" + std::to_string(r));
-  }
+  std::string shape = "n=" + std::to_string(n);
+  shape += " m=" + std::to_string(m) + " r=" + std::to_string(r);
+  const auto require = [&](bool holds, const char* rule) {
+    if (!holds) {
+      throw std::invalid_argument("scheme '" + scheme->name + "' requires " +
+                                  rule + ", got " + shape);
+    }
+  };
+  const std::string& name = scheme->name;
+  require(n >= 1 && m >= 1, "n >= 1 and m >= 1");
+  require(!scheme->caps.requires_units_equal_workers || m == n, "m == n");
+  require(name != "uncoded" || m >= n, "m >= n");
+  require(r >= 1, "r >= 1");
+  require(!scheme->caps.requires_load_divides_workers || n % r == 0, "r | n");
+  require(!scheme->caps.requires_units_equal_workers || r <= n, "r <= n");
+  require(name != "simple_random" || r <= m, "r <= m");
+  require(name != "bcc" || n >= (m - 1) / r + 1, "n >= ceil(m/r)");
 }
 
 RunRecord run_experiment(const ExperimentConfig& config) {

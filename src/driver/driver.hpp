@@ -42,12 +42,14 @@ void add_experiment_flags(CliFlags& flags);
 /// `check_runnable` (runtime_registry.hpp) rejects.
 std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 
-/// The scheme-shape rules of the registry's capability flags, in one
-/// place: throws std::invalid_argument on an unknown scheme, a scheme
-/// that needs m == n under another m, and one that needs r | n under an
-/// r that does not divide n. `run_experiment` and `expand_plan` (per
-/// cell) call it; the scheme factories keep their asserts as internal
-/// invariants.
+/// The scheme-shape rules, in one place: throws std::invalid_argument
+/// ("scheme 'bcc' requires n >= ceil(m/r), got n=5 m=100 r=2") on an
+/// unknown scheme or a shape its factory would assert on. Every scheme
+/// needs n, m, r >= 1; `requires_units_equal_workers` adds m == n and
+/// r <= n, `requires_load_divides_workers` adds r | n; uncoded needs
+/// m >= n, simple_random r <= m and BCC n >= ceil(m/r).
+/// `run_experiment` and `expand_plan` (per cell) call it; the scheme
+/// factories keep their asserts as internal invariants.
 void check_scheme_shape(const ExperimentConfig& config);
 
 /// Runs one (scheme, scenario, runtime) cell through the named runtime.

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "core/bcc.hpp"
 #include "core/theory.hpp"
+#include "data/batching.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
 #include "opt/logistic.hpp"
@@ -24,18 +28,39 @@ std::vector<std::int64_t> mv(std::initializer_list<std::int64_t> v) {
 }
 
 TEST(Bcc, PlacementIsTheChosenBatch) {
-  stats::Rng rng(1);
-  BccScheme scheme(20, 20, 5, /*seed_first_batches=*/false, rng);
-  EXPECT_EQ(scheme.num_batches(), 4u);
-  data::BatchPartition partition(20, 5);
-  for (std::size_t i = 0; i < 20; ++i) {
-    const std::size_t b = scheme.batch_of_worker(i);
-    EXPECT_LT(b, 4u);
-    const auto expected = partition.indices(b);
-    const auto& actual = scheme.placement().worker(i);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t k = 0; k < expected.size(); ++k) {
-      EXPECT_EQ(actual[k], expected[k]);
+  // The placement keeps one copy per batch and each worker's draw as its
+  // set index. The draws are the rng's uniform_int(B) in worker order (or
+  // b for the first B workers under seeding), so replaying the rng gives
+  // every worker's batch, and its units are the partition's batch.
+  for (const bool seeded : {false, true}) {
+    for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+      const std::size_t n = 300, m = 103, r = 5;  // B = 21, last batch short
+      stats::Rng rng(seed);
+      BccScheme scheme(n, m, r, seeded, rng);
+      const data::BatchPartition partition(m, r);
+      ASSERT_EQ(scheme.num_batches(), partition.num_batches());
+      stats::Rng replay(seed);
+      std::vector<const std::vector<std::size_t>*> batch_object(
+          partition.num_batches(), nullptr);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t b = scheme.batch_of_worker(i);
+        std::size_t drawn = i;
+        if (!seeded || i >= partition.num_batches()) {
+          drawn = static_cast<std::size_t>(
+              replay.uniform_int(partition.num_batches()));
+        }
+        ASSERT_EQ(b, drawn) << "seed " << seed << " worker " << i;
+        const auto& units = scheme.placement().worker(i);
+        const auto expected = partition.indices(b);
+        ASSERT_TRUE(std::equal(units.begin(), units.end(), expected.begin(),
+                               expected.end()));
+        if (batch_object[b] == nullptr) {
+          batch_object[b] = &units;
+        }
+        EXPECT_EQ(batch_object[b], &units) << "batch " << b << " copied";
+        EXPECT_EQ(scheme.message_meta(i), mv({static_cast<std::int64_t>(b)}));
+        EXPECT_EQ(scheme.encode_group(i), std::optional<std::size_t>(b));
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/fractional_repetition.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
@@ -24,20 +26,30 @@ TEST(Fr, RequiresDivisibility) {
 }
 
 TEST(Fr, BlocksAreContiguousAndReplicatedRTimes) {
-  FractionalRepetitionScheme scheme(12, 3);  // 4 blocks of 3 units
-  EXPECT_EQ(scheme.num_blocks(), 4u);
-  std::vector<std::size_t> replicas(4, 0);
-  for (std::size_t i = 0; i < 12; ++i) {
-    const std::size_t b = scheme.block_of_worker(i);
-    ++replicas[b];
-    const auto& g = scheme.placement().worker(i);
-    ASSERT_EQ(g.size(), 3u);
-    for (std::size_t t = 0; t < 3; ++t) {
-      EXPECT_EQ(g[t], b * 3 + t);
+  // Worker i holds block i mod (n/r), units {b r, ..., b r + r - 1}, one
+  // replica per group of n/r workers; the placement stores each block
+  // once, so a block's r workers share one object.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {12, 3}, {12, 1}, {12, 12}, {40, 8}, {100, 10}};
+  for (const auto& [n, r] : shapes) {
+    FractionalRepetitionScheme scheme(n, r);
+    const std::size_t blocks = n / r;
+    ASSERT_EQ(scheme.num_blocks(), blocks);
+    std::vector<std::size_t> replicas(blocks, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t b = scheme.block_of_worker(i);
+      EXPECT_EQ(b, i % blocks);
+      ++replicas[b];
+      const auto& g = scheme.placement().worker(i);
+      ASSERT_EQ(g.size(), r);
+      for (std::size_t t = 0; t < r; ++t) {
+        EXPECT_EQ(g[t], b * r + t);
+      }
+      EXPECT_EQ(&g, &scheme.placement().worker(b)) << "n=" << n << " r=" << r;
     }
-  }
-  for (std::size_t b = 0; b < 4; ++b) {
-    EXPECT_EQ(replicas[b], 3u);  // one replica per group
+    for (std::size_t b = 0; b < blocks; ++b) {
+      EXPECT_EQ(replicas[b], r);
+    }
   }
 }
 

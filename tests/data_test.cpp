@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "data/data.hpp"
 #include "linalg/vector_ops.hpp"
@@ -84,28 +85,18 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Placement ---------------------------------------------------------------------
 
 TEST(Placement, ComputationalLoadIsMaxDegree) {
-  Placement p(3, 10);
-  p.worker(0) = {0, 1};
-  p.worker(1) = {2, 3, 4, 5};
-  p.worker(2) = {6};
+  const Placement p(10, {{0, 1}, {2, 3, 4, 5}, {6}});
   EXPECT_EQ(p.computational_load(), 4u);
   EXPECT_EQ(p.total_assigned(), 7u);
 }
 
 TEST(Placement, CoverageDetection) {
-  Placement p(2, 4);
-  p.worker(0) = {0, 1};
-  p.worker(1) = {2};
-  EXPECT_FALSE(p.covers_all_examples());
-  p.worker(1) = {2, 3};
-  EXPECT_TRUE(p.covers_all_examples());
+  EXPECT_FALSE(Placement(4, {{0, 1}, {2}}).covers_all_examples());
+  EXPECT_TRUE(Placement(4, {{0, 1}, {2, 3}}).covers_all_examples());
 }
 
 TEST(Placement, MultiplicitiesCountReplication) {
-  Placement p(3, 3);
-  p.worker(0) = {0, 1};
-  p.worker(1) = {1, 2};
-  p.worker(2) = {2, 1};
+  const Placement p(3, {{0, 1}, {1, 2}, {2, 1}});
   const auto mult = p.example_multiplicities();
   EXPECT_EQ(mult[0], 1u);
   EXPECT_EQ(mult[1], 3u);
@@ -113,15 +104,44 @@ TEST(Placement, MultiplicitiesCountReplication) {
 }
 
 TEST(Placement, EmptyPlacementHasZeroLoad) {
-  Placement p(4, 10);
+  const Placement p(10, std::vector<std::vector<std::size_t>>(4));
+  EXPECT_EQ(p.num_workers(), 4u);
   EXPECT_EQ(p.computational_load(), 0u);
   EXPECT_FALSE(p.covers_all_examples());
 }
 
 TEST(Placement, OutOfRangeExampleAsserts) {
-  Placement p(1, 3);
-  p.worker(0) = {7};
+  const Placement p(3, {{7}});
   EXPECT_THROW(p.covers_all_examples(), coupon::AssertionError);
+}
+
+TEST(Placement, WorkersWithOneSetIndexShareOneObject) {
+  // Two sets, four workers: workers 0 and 2 hold set 1, workers 1 and 3
+  // set 0. Sharing is by reference, not by equal contents.
+  const Placement p(4, {{0, 1}, {2, 3}}, {1, 0, 1, 0});
+  ASSERT_EQ(p.num_workers(), 4u);
+  EXPECT_EQ(&p.worker(0), &p.worker(2));
+  EXPECT_EQ(&p.worker(1), &p.worker(3));
+  EXPECT_NE(&p.worker(0), &p.worker(1));
+  EXPECT_EQ(p.set_of_worker(0), 1u);
+  EXPECT_EQ(p.worker(0), (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(p.total_assigned(), 8u);
+  EXPECT_EQ(p.example_multiplicities(), (std::vector<std::size_t>{2, 2, 2, 2}));
+}
+
+TEST(Placement, SetsNoWorkerHoldsCountForNothing) {
+  // Set 1 is a BCC batch nobody drew: its units stay uncovered and its
+  // size does not raise the load.
+  const Placement p(5, {{0, 1}, {2, 3, 4}}, {0, 0});
+  EXPECT_FALSE(p.covers_all_examples());
+  EXPECT_EQ(p.computational_load(), 2u);
+  EXPECT_EQ(p.example_multiplicities(),
+            (std::vector<std::size_t>{2, 2, 0, 0, 0}));
+}
+
+TEST(Placement, SetIndexOutOfRangeIsRejectedAtConstruction) {
+  EXPECT_THROW(Placement(4, {{0, 1}, {2, 3}}, {0, 2}), coupon::AssertionError);
+  EXPECT_THROW(Placement(4, {}, {0}), coupon::AssertionError);
 }
 
 // --- synthetic data -----------------------------------------------------------------

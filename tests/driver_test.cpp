@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "core/scheme_registry.hpp"
 #include "core/theory.hpp"
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
 #include "driver/sweep.hpp"
 #include "simulate/cluster_config.hpp"
+#include "util/assert.hpp"
 
 namespace driver = coupon::driver;
 
@@ -456,6 +458,60 @@ TEST(Driver, SchemeNeedingLoadDividingWorkersRejectsOtherLoads) {
   config.num_units = 6;
   config.load = 4;
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+}
+
+TEST(Driver, EverySchemeShapeRunsOrIsAMessage) {
+  // Every registered scheme under each degenerate shape either runs or is
+  // rejected with std::invalid_argument by check_scheme_shape; none
+  // reaches a factory's assertion.
+  struct Shape {
+    const char* what;
+    std::size_t n, m, r;
+  };
+  const Shape shapes[] = {
+      {"n = 0", 0, 4, 2},
+      {"m = 0", 4, 0, 2},
+      {"r = 0", 4, 4, 0},
+      {"r > n", 4, 4, 5},
+      {"r > m", 8, 4, 6},
+      {"n < ceil(m/r)", 2, 8, 2},
+      {"m < n", 8, 4, 2},
+  };
+  const auto& registry = coupon::core::SchemeRegistry::instance();
+  for (const std::string& scheme : registry.names()) {
+    for (const Shape& shape : shapes) {
+      auto config = small_sim_config();
+      config.scheme = scheme;
+      config.num_workers = shape.n;
+      config.num_units = shape.m;
+      config.load = shape.r;
+      config.iterations = 2;
+      try {
+        const auto record = driver::run_experiment(config);
+        EXPECT_EQ(record.iterations_run, 2u) << scheme << ", " << shape.what;
+      } catch (const std::invalid_argument& e) {
+        const std::string prefix = "scheme '" + scheme + "' requires";
+        EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+      } catch (const coupon::AssertionError& e) {
+        ADD_FAILURE() << scheme << ", " << shape.what << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(Driver, BccWithFewerWorkersThanBatchesIsAMessage) {
+  // `coupon_run --scheme bcc --workers 5 --units 100 --load 2`: B = 50.
+  auto config = small_sim_config();
+  config.num_workers = 5;
+  config.num_units = 100;
+  config.load = 2;
+  try {
+    driver::run_experiment(config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scheme 'bcc' requires n >= ceil(m/r), got n=5 m=100 r=2");
+  }
 }
 
 TEST(Driver, SimOnlyScenarioRejectedUnderThreadedRuntime) {

@@ -1,7 +1,9 @@
 // Pins the DESIGN.md §7 allocation budget: once an `IterationKernel` is
 // warm, the steady-state iteration loop performs ZERO heap allocations —
 // for every built-in scheme, with drops enabled, and through the
-// simulate_run aggregation path (traces off).
+// simulate_run aggregation path (traces off). Also pins the §7.6 build
+// budget: a placement allocates once per distinct unit set, not once per
+// worker.
 //
 // Mechanism: this binary replaces the global allocation functions with
 // counting wrappers (legal per [replacement.functions]); the tests read
@@ -155,6 +157,26 @@ TEST(AllocationFree, LargeNSelectionPathStaysAllocationFree) {
   EXPECT_EQ(steady_state_allocations(*scheme, alloc_test_cluster(),
                                      /*warmup=*/2, /*iterations=*/20),
             0u);
+}
+
+TEST(AllocationBudget, SharedUnitSetsAreAllocatedOncePerSet) {
+  // BCC's workers share its ceil(m/r) batches and FR's share its n/r
+  // blocks, so building either allocates once per distinct set plus a
+  // constant, not once per worker (DESIGN.md §7.6).
+  core::SchemeConfig config;
+  config.num_workers = 100'000;
+  config.num_units = 100'000;
+  config.load = 40;
+  const std::size_t distinct_sets = 2'500;  // m/r batches, n/r blocks
+  for (const char* kind : {"bcc", "fr"}) {
+    stats::Rng build_rng(19);
+    const std::size_t before = g_allocations.load();
+    const auto scheme =
+        core::SchemeRegistry::instance().create(kind, config, build_rng);
+    const std::size_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(scheme->num_workers(), config.num_workers);
+    EXPECT_LT(allocations, distinct_sets + 64) << kind;
+  }
 }
 
 TEST(AllocationFree, SimulateRunWithoutTraceOnlyAllocatesSetup) {
