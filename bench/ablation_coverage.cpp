@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/bcc.hpp"
+#include "core/theory.hpp"
 #include "stats/rng.hpp"
 #include "util/util.hpp"
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (std::size_t mult : {1u, 2u, 3u, 4u, 6u, 8u, 12u}) {
     const std::size_t n = batches * mult;
     const double analytic =
-        coupon::core::BccScheme::coverage_failure_probability(n, batches);
+        coupon::core::theory::bcc_coverage_failure_probability(n, batches);
     std::size_t failures = 0;
     for (std::size_t t = 0; t < trials; ++t) {
       std::vector<bool> seen(batches, false);

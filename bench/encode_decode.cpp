@@ -41,9 +41,9 @@ void BM_BccEncode(benchmark::State& state) {
   const auto r = static_cast<std::size_t>(state.range(1));
   const auto wl = make_workload(n, kFeatures);
   stats::Rng rng(3);
-  core::BccScheme scheme(n, n, r, true, rng);
+  const auto scheme = core::make_bcc(n, n, r, true, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.encode(0, *wl.source, wl.w));
+    benchmark::DoNotOptimize(scheme->encode(0, *wl.source, wl.w));
   }
 }
 BENCHMARK(BM_BccEncode)->Args({50, 10})->Args({100, 10})->Args({100, 25});
@@ -87,13 +87,13 @@ void BM_BccCollectDecode(benchmark::State& state) {
   const auto r = static_cast<std::size_t>(state.range(1));
   const auto wl = make_workload(n, kFeatures);
   stats::Rng rng(5);
-  core::BccScheme scheme(n, n, r, true, rng);
+  const auto scheme = core::make_bcc(n, n, r, true, rng);
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) {
     order[i] = i;
   }
   rng.shuffle(order);
-  run_decode_benchmark(state, scheme, wl, order);
+  run_decode_benchmark(state, *scheme, wl, order);
 }
 BENCHMARK(BM_BccCollectDecode)
     ->Args({50, 10})

@@ -41,10 +41,10 @@ double mc_bcc_threshold(std::size_t m, std::size_t r, std::size_t trials,
   const std::size_t n = std::max<std::size_t>(batches * 20, 200);
   double total = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
-    coupon::core::BccScheme scheme(n, m, r, false, rng);
-    auto collector = scheme.make_collector();
+    const auto scheme = coupon::core::make_bcc(n, m, r, false, rng);
+    auto collector = scheme->make_collector();
     for (std::size_t i = 0; i < n && !collector->ready(); ++i) {
-      collector->offer(i, scheme.message_meta(i), {});
+      collector->offer(i, scheme->message_meta(i), {});
     }
     total += static_cast<double>(collector->workers_heard());
   }

@@ -143,6 +143,11 @@ expect_error "--workers must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
     --predict --scheme bcc --workers -3
 expect_error "--threads must be >= 0" "${BUILD_DIR}/tools/coupon_run" \
     --sweep --schemes bcc --iterations 2 --threads -1
+# A number must be the whole value, not a readable prefix of it.
+expect_error "bad value '50x' for flag --workers" \
+    "${BUILD_DIR}/tools/coupon_run" --workers 50x --iterations 2
+expect_error "bad value '0xEC2001' for flag --seed" \
+    "${BUILD_DIR}/tools/coupon_run" --seed 0xEC2001 --iterations 2
 # A scheme's shape rule is a message, not the factory's assertion.
 expect_error "requires m == n" "${BUILD_DIR}/tools/coupon_run" --scheme cr \
     --workers 6 --units 4 --load 2 --iterations 2

@@ -4,14 +4,12 @@
 #include <stdexcept>
 
 #include "analytic/coverage.hpp"
-#include "core/bcc.hpp"
 #include "core/cyclic_repetition.hpp"
-#include "core/fractional_repetition.hpp"
 #include "core/gc_cyclic.hpp"
 #include "core/gc_nested.hpp"
+#include "core/partition_scheme.hpp"
 #include "core/sgc.hpp"
 #include "core/simple_random.hpp"
-#include "core/uncoded.hpp"
 
 namespace coupon::analytic {
 
@@ -70,28 +68,6 @@ const ConcreteScheme* cast_or_reason(const core::Scheme& scheme,
   return concrete;
 }
 
-class UncodedModel final : public SchemeRuntimeModel {
- public:
-  std::string_view scheme_name() const override { return "uncoded"; }
-  std::string_view description() const override {
-    return "threshold n (wait-for-all; needs n | m for equal loads)";
-  }
-  SchemeModelResult coverage_profile(
-      const core::Scheme& scheme) const override {
-    std::string reason;
-    if (cast_or_reason<core::UncodedScheme>(scheme, "uncoded", &reason) ==
-        nullptr) {
-      return fail(std::move(reason));
-    }
-    double units = 1.0;
-    if (auto why = check_exchangeable(scheme, &units)) {
-      return fail(std::move(*why));  // n does not divide m
-    }
-    return ok(coverage_threshold(scheme.num_workers(), scheme.num_workers()),
-              units);
-  }
-};
-
 class CyclicRepetitionModel final : public SchemeRuntimeModel {
  public:
   std::string_view scheme_name() const override { return "cr"; }
@@ -115,59 +91,41 @@ class CyclicRepetitionModel final : public SchemeRuntimeModel {
   }
 };
 
-class FractionalRepetitionModel final : public SchemeRuntimeModel {
+/// Uncoded, FR and BCC: coverage of the placement's sets, conditioned on
+/// the realized worker-to-set map (BCC's drawn batch choices), exactly
+/// like one simulated run does. A set no worker holds (a BCC batch
+/// nobody picked) makes every iteration a coverage failure (A == 0
+/// throughout); uncoded's one set per worker is the wait-for-all
+/// threshold n.
+class PartitionModel final : public SchemeRuntimeModel {
  public:
-  std::string_view scheme_name() const override { return "fr"; }
-  std::string_view description() const override {
-    return "partition coverage over n/r replicated blocks";
-  }
-  SchemeModelResult coverage_profile(
-      const core::Scheme& scheme) const override {
-    std::string reason;
-    const auto* fr = cast_or_reason<core::FractionalRepetitionScheme>(
-        scheme, "fractional repetition", &reason);
-    if (fr == nullptr) {
-      return fail(std::move(reason));
-    }
-    double units = 1.0;
-    if (auto why = check_exchangeable(scheme, &units)) {
-      return fail(std::move(*why));
-    }
-    std::vector<std::size_t> group_sizes(fr->num_blocks(), 0);
-    for (std::size_t w = 0; w < scheme.num_workers(); ++w) {
-      ++group_sizes[fr->block_of_worker(w)];
-    }
-    return ok(coverage_partition(scheme.num_workers(), group_sizes), units);
-  }
-};
+  PartitionModel(std::string_view scheme_name, std::string_view description)
+      : scheme_name_(scheme_name), description_(description) {}
 
-class BccModel final : public SchemeRuntimeModel {
- public:
-  std::string_view scheme_name() const override { return "bcc"; }
-  std::string_view description() const override {
-    return "partition coverage over the realized batch choices";
-  }
+  std::string_view scheme_name() const override { return scheme_name_; }
+  std::string_view description() const override { return description_; }
   SchemeModelResult coverage_profile(
       const core::Scheme& scheme) const override {
     std::string reason;
-    const auto* bcc =
-        cast_or_reason<core::BccScheme>(scheme, "BCC", &reason);
-    if (bcc == nullptr) {
+    if (cast_or_reason<core::PartitionScheme>(scheme, "partition",
+                                              &reason) == nullptr) {
       return fail(std::move(reason));
     }
     double units = 1.0;
     if (auto why = check_exchangeable(scheme, &units)) {
-      return fail(std::move(*why));  // r does not divide m
+      return fail(std::move(*why));  // uncoded n or BCC r not dividing m
     }
-    // The profile conditions on the drawn batch choices sigma_1..sigma_n,
-    // exactly like one simulated run does. A batch no worker picked makes
-    // every iteration a coverage failure (A == 0 throughout).
-    std::vector<std::size_t> group_sizes(bcc->num_batches(), 0);
+    const auto& placement = scheme.placement();
+    std::vector<std::size_t> group_sizes(placement.num_sets(), 0);
     for (std::size_t w = 0; w < scheme.num_workers(); ++w) {
-      ++group_sizes[bcc->batch_of_worker(w)];
+      ++group_sizes[placement.set_of_worker(w)];
     }
     return ok(coverage_partition(scheme.num_workers(), group_sizes), units);
   }
+
+ private:
+  std::string_view scheme_name_;
+  std::string_view description_;
 };
 
 class SimpleRandomModel final : public SchemeRuntimeModel {
@@ -293,10 +251,13 @@ AnalyticModelRegistry& AnalyticModelRegistry::instance() {
 }
 
 AnalyticModelRegistry::AnalyticModelRegistry() {
-  add(std::make_unique<UncodedModel>());
-  add(std::make_unique<FractionalRepetitionModel>());
+  add(std::make_unique<PartitionModel>(
+      "uncoded", "threshold n (wait-for-all; needs n | m for equal loads)"));
+  add(std::make_unique<PartitionModel>(
+      "fr", "partition coverage over n/r replicated blocks"));
   add(std::make_unique<CyclicRepetitionModel>());
-  add(std::make_unique<BccModel>());
+  add(std::make_unique<PartitionModel>(
+      "bcc", "partition coverage over the realized batch choices"));
   add(std::make_unique<SimpleRandomModel>());
   add(std::make_unique<GcCyclicModel>());
   add(std::make_unique<SgcModel>());

@@ -20,7 +20,8 @@
 /// Models are looked up by the scheme's registry name through
 /// `AnalyticModelRegistry`, mirroring `core::SchemeRegistry`: adding an
 /// analytic model for a new scheme is one `add()` call, no switch
-/// statements. All five built-in schemes ship with models.
+/// statements. Every built-in scheme has a model; uncoded, fr and bcc
+/// share one, the partition model.
 
 #include <memory>
 #include <optional>
@@ -66,8 +67,8 @@ class SchemeRuntimeModel {
       const core::Scheme& scheme) const = 0;
 };
 
-/// Process-wide scheme-name -> analytic-model registry. The five
-/// built-in models are registered on first access.
+/// Process-wide scheme-name -> analytic-model registry. The built-in
+/// models are registered on first access.
 class AnalyticModelRegistry {
  public:
   static AnalyticModelRegistry& instance();

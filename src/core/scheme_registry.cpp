@@ -3,14 +3,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/bcc.hpp"
 #include "core/cyclic_repetition.hpp"
-#include "core/fractional_repetition.hpp"
 #include "core/gc_cyclic.hpp"
 #include "core/gc_nested.hpp"
+#include "core/partition_scheme.hpp"
 #include "core/sgc.hpp"
 #include "core/simple_random.hpp"
-#include "core/uncoded.hpp"
 #include "util/assert.hpp"
 #include "util/names.hpp"
 
@@ -30,7 +28,7 @@ SchemeRegistry::SchemeRegistry() {
            "(wait-for-all baseline, K = n)",
        .caps = {.supports_partial_decode = true},
        .factory = [](const SchemeConfig& c, stats::Rng&) {
-         return std::make_unique<UncodedScheme>(c.num_workers, c.num_units);
+         return make_uncoded(c.num_workers, c.num_units);
        }});
   add({.name = "fr",
        .aliases = {"fractional_repetition"},
@@ -43,8 +41,7 @@ SchemeRegistry::SchemeRegistry() {
        .factory = [](const SchemeConfig& c, stats::Rng&) {
          COUPON_ASSERT_MSG(c.num_units == c.num_workers,
                            "FR requires m == n (use super-examples)");
-         return std::make_unique<FractionalRepetitionScheme>(c.num_workers,
-                                                             c.load);
+         return make_fractional_repetition(c.num_workers, c.load);
        }});
   add({.name = "cr",
        .aliases = {"cyclic_repetition"},
@@ -65,8 +62,8 @@ SchemeRegistry::SchemeRegistry() {
            "worker, near-optimal K ~ (m/r) log(m/r)",
        .caps = {.supports_partial_decode = true},
        .factory = [](const SchemeConfig& c, stats::Rng& rng) {
-         return std::make_unique<BccScheme>(c.num_workers, c.num_units, c.load,
-                                            c.bcc_seed_first_batches, rng);
+         return make_bcc(c.num_workers, c.num_units, c.load,
+                         c.bcc_seed_first_batches, rng);
        }});
   add({.name = "simple_random",
        .aliases = {"srs"},

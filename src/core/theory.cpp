@@ -1,5 +1,6 @@
 #include "core/theory.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -30,6 +31,24 @@ std::size_t bcc_batches(std::size_t m, std::size_t r) {
 double k_bcc(std::size_t m, std::size_t r) {
   const std::size_t b = bcc_batches(m, r);
   return static_cast<double>(b) * harmonic(b);
+}
+
+double bcc_coverage_failure_probability(std::size_t n, std::size_t batches) {
+  COUPON_ASSERT(batches > 0);
+  // P(some batch uncovered) by inclusion-exclusion:
+  //   sum_{k=1}^{B-1} (-1)^{k+1} C(B,k) (1 - k/B)^n.
+  const double b = static_cast<double>(batches);
+  const double workers = static_cast<double>(n);
+  double prob = 0.0;
+  double log_binom = 0.0;  // log C(B, k), updated incrementally
+  for (std::size_t k = 1; k < batches; ++k) {
+    log_binom += std::log(b - static_cast<double>(k) + 1.0) -
+                 std::log(static_cast<double>(k));
+    const double term = std::exp(
+        log_binom + workers * std::log1p(-static_cast<double>(k) / b));
+    prob += (k % 2 == 1) ? term : -term;
+  }
+  return std::clamp(prob, 0.0, 1.0);
 }
 
 double k_lower_bound(std::size_t m, std::size_t r) {

@@ -26,6 +26,11 @@ std::size_t bcc_batches(std::size_t m, std::size_t r);
 /// Eq. (2): K_BCC(r) = ceil(m/r) * H_{ceil(m/r)}.
 double k_bcc(std::size_t m, std::size_t r);
 
+/// Probability that n workers drawing among `batches` BCC batches
+/// uniformly miss at least one (coverage failure), exactly by
+/// inclusion-exclusion.
+double bcc_coverage_failure_probability(std::size_t n, std::size_t batches);
+
 /// Theorem 1 lower bound: K*(r) >= m/r (also the L*(r) lower bound).
 double k_lower_bound(std::size_t m, std::size_t r);
 

@@ -129,6 +129,7 @@ IterationKernel::IterationKernel(const core::Scheme& scheme,
   service_seconds_.resize(n);
   meta_offsets_.reserve(n + 1);
   meta_offsets_.push_back(0);
+  meta_flat_.reserve(n);  // every in-tree scheme tags at least one entry
   for (std::size_t i = 0; i < n; ++i) {
     loads_[i] = static_cast<double>(scheme.placement().worker(i).size());
     service_seconds_[i] =

@@ -58,14 +58,28 @@ CliFlags& CliFlags::add_string(const std::string& name,
 }
 
 bool CliFlags::set_from_string(Flag& flag, const std::string& text) {
+  // std::stoll/std::stod stop at the first character they cannot read;
+  // a value is taken only when they read all of it ("50x" is an error,
+  // not 50).
+  std::size_t parsed = 0;
   try {
     switch (flag.type) {
-      case Type::kInt:
-        flag.int_value = std::stoll(text);
+      case Type::kInt: {
+        const auto value = std::stoll(text, &parsed);
+        if (parsed != text.size()) {
+          return false;
+        }
+        flag.int_value = value;
         return true;
-      case Type::kDouble:
-        flag.double_value = std::stod(text);
+      }
+      case Type::kDouble: {
+        const auto value = std::stod(text, &parsed);
+        if (parsed != text.size()) {
+          return false;
+        }
+        flag.double_value = value;
         return true;
+      }
       case Type::kBool:
         if (text == "true" || text == "1") {
           flag.bool_value = true;

@@ -122,6 +122,17 @@ TEST(AnalyticCoverage, ZeroSizeGroupNeverCovers) {
   }
 }
 
+TEST(AnalyticCoverage, SingletonGroupsAreTheWaitForAllThreshold) {
+  // Uncoded's model is the partition DP over one single-worker set per
+  // worker; its profile must be the wait-for-all indicator bit for bit.
+  for (const std::size_t n : {1u, 2u, 7u, 50u, 100u}) {
+    EXPECT_EQ(coupon::analytic::coverage_partition(
+                  n, std::vector<std::size_t>(n, 1)),
+              coupon::analytic::coverage_threshold(n, n))
+        << "n=" << n;
+  }
+}
+
 TEST(AnalyticCoverage, UnionMasksHandCalc) {
   // Workers cover units {0}, {1}, {0,1}: a single worker covers both
   // units only via the third (1/3); every pair covers.

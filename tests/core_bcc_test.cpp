@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/bcc.hpp"
+#include "core/partition_scheme.hpp"
 #include "core/theory.hpp"
 #include "data/batching.hpp"
 #include "data/synthetic.hpp"
@@ -36,21 +36,21 @@ TEST(Bcc, PlacementIsTheChosenBatch) {
     for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
       const std::size_t n = 300, m = 103, r = 5;  // B = 21, last batch short
       stats::Rng rng(seed);
-      BccScheme scheme(n, m, r, seeded, rng);
+      const auto scheme = make_bcc(n, m, r, seeded, rng);
       const data::BatchPartition partition(m, r);
-      ASSERT_EQ(scheme.num_batches(), partition.num_batches());
+      ASSERT_EQ(scheme->num_sets(), partition.num_batches());
       stats::Rng replay(seed);
       std::vector<const std::vector<std::size_t>*> batch_object(
           partition.num_batches(), nullptr);
       for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t b = scheme.batch_of_worker(i);
+        const std::size_t b = scheme->placement().set_of_worker(i);
         std::size_t drawn = i;
         if (!seeded || i >= partition.num_batches()) {
           drawn = static_cast<std::size_t>(
               replay.uniform_int(partition.num_batches()));
         }
         ASSERT_EQ(b, drawn) << "seed " << seed << " worker " << i;
-        const auto& units = scheme.placement().worker(i);
+        const auto& units = scheme->placement().worker(i);
         const auto expected = partition.indices(b);
         ASSERT_TRUE(std::equal(units.begin(), units.end(), expected.begin(),
                                expected.end()));
@@ -58,8 +58,9 @@ TEST(Bcc, PlacementIsTheChosenBatch) {
           batch_object[b] = &units;
         }
         EXPECT_EQ(batch_object[b], &units) << "batch " << b << " copied";
-        EXPECT_EQ(scheme.message_meta(i), mv({static_cast<std::int64_t>(b)}));
-        EXPECT_EQ(scheme.encode_group(i), std::optional<std::size_t>(b));
+        EXPECT_EQ(scheme->message_meta(i),
+                  mv({static_cast<std::int64_t>(b)}));
+        EXPECT_EQ(scheme->encode_group(i), std::optional<std::size_t>(b));
       }
     }
   }
@@ -69,10 +70,10 @@ TEST(Bcc, BatchChoicesAreUniform) {
   // Chi-square-style check: each batch picked n/B times on average.
   stats::Rng rng(2);
   const std::size_t n = 40000, m = 40000, r = 10000;  // B = 4
-  BccScheme scheme(n, m, r, false, rng);
+  const auto scheme = make_bcc(n, m, r, false, rng);
   std::vector<std::size_t> counts(4, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    ++counts[scheme.batch_of_worker(i)];
+    ++counts[scheme->placement().set_of_worker(i)];
   }
   for (std::size_t b = 0; b < 4; ++b) {
     EXPECT_NEAR(static_cast<double>(counts[b]), n / 4.0,
@@ -83,14 +84,14 @@ TEST(Bcc, BatchChoicesAreUniform) {
 TEST(Bcc, RequiresEnoughWorkersToCover) {
   stats::Rng rng(3);
   // B = ceil(10/2) = 5 batches but only 4 workers.
-  EXPECT_THROW(BccScheme(4, 10, 2, false, rng), AssertionError);
+  EXPECT_THROW(make_bcc(4, 10, 2, false, rng), AssertionError);
 }
 
 TEST(Bcc, ExpectedRecoveryThresholdIsBHB) {
   stats::Rng rng(4);
-  BccScheme scheme(100, 100, 10, false, rng);  // B = 10
-  ASSERT_TRUE(scheme.expected_recovery_threshold().has_value());
-  EXPECT_NEAR(*scheme.expected_recovery_threshold(),
+  const auto scheme = make_bcc(100, 100, 10, false, rng);  // B = 10
+  ASSERT_TRUE(scheme->expected_recovery_threshold().has_value());
+  EXPECT_NEAR(*scheme->expected_recovery_threshold(),
               10.0 * theory::harmonic(10), 1e-12);
 }
 
@@ -103,10 +104,10 @@ TEST(Bcc, EmpiricalRecoveryThresholdMatchesTheorem1) {
   stats::Rng rng(5);
   stats::OnlineStats k_stats;
   for (int trial = 0; trial < 3000; ++trial) {
-    BccScheme scheme(n, m, r, false, rng);
-    auto collector = scheme.make_collector();
+    const auto scheme = make_bcc(n, m, r, false, rng);
+    auto collector = scheme->make_collector();
     for (std::size_t i = 0; i < n && !collector->ready(); ++i) {
-      collector->offer(i, scheme.message_meta(i), {});
+      collector->offer(i, scheme->message_meta(i), {});
     }
     ASSERT_TRUE(collector->ready());
     k_stats.add(static_cast<double>(collector->workers_heard()));
@@ -118,10 +119,10 @@ TEST(Bcc, EmpiricalRecoveryThresholdMatchesTheorem1) {
 TEST(Bcc, CommunicationLoadEqualsRecoveryThreshold) {
   // Eq. 14: every message is one gradient unit, so L == K sample-by-sample.
   stats::Rng rng(6);
-  BccScheme scheme(60, 12, 3, false, rng);
-  auto collector = scheme.make_collector();
+  const auto scheme = make_bcc(60, 12, 3, false, rng);
+  auto collector = scheme->make_collector();
   for (std::size_t i = 0; i < 60 && !collector->ready(); ++i) {
-    collector->offer(i, scheme.message_meta(i), {});
+    collector->offer(i, scheme->message_meta(i), {});
   }
   ASSERT_TRUE(collector->ready());
   EXPECT_DOUBLE_EQ(collector->units_received(),
@@ -130,8 +131,9 @@ TEST(Bcc, CommunicationLoadEqualsRecoveryThreshold) {
 
 TEST(Bcc, DuplicateBatchIsDiscardedButCounted) {
   stats::Rng rng(7);
-  BccScheme scheme(8, 8, 2, /*seed_first_batches=*/true, rng);  // B = 4
-  auto collector = scheme.make_collector();
+  // B = 4
+  const auto scheme = make_bcc(8, 8, 2, /*seed_first_batches=*/true, rng);
+  auto collector = scheme->make_collector();
   // Workers 0..3 hold batches 0..3 under seeding. Offer batch 0 twice via
   // two different hypothetical workers.
   EXPECT_TRUE(collector->offer(0, mv({0}), {}));
@@ -144,11 +146,12 @@ TEST(Bcc, DuplicateBatchIsDiscardedButCounted) {
 TEST(Bcc, SeededPlacementGuaranteesCoverage) {
   stats::Rng rng(8);
   for (int trial = 0; trial < 50; ++trial) {
-    BccScheme scheme(6, 12, 2, /*seed_first_batches=*/true, rng);  // B = 6
+    // B = 6
+    const auto scheme = make_bcc(6, 12, 2, /*seed_first_batches=*/true, rng);
     for (std::size_t b = 0; b < 6; ++b) {
-      EXPECT_EQ(scheme.batch_of_worker(b), b);
+      EXPECT_EQ(scheme->placement().set_of_worker(b), b);
     }
-    EXPECT_TRUE(scheme.placement().covers_all_examples());
+    EXPECT_TRUE(scheme->placement().covers_all_examples());
   }
 }
 
@@ -158,15 +161,15 @@ TEST(Bcc, RandomPlacementCanMissBatches) {
   stats::Rng rng(9);
   int misses = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    BccScheme scheme(4, 8, 2, false, rng);
-    misses += scheme.placement().covers_all_examples() ? 0 : 1;
+    const auto scheme = make_bcc(4, 8, 2, false, rng);
+    misses += scheme->placement().covers_all_examples() ? 0 : 1;
   }
   EXPECT_GT(misses, 50);
 }
 
 TEST(Bcc, CoverageFailureProbabilityMatchesMonteCarlo) {
   const std::size_t n = 8, batches = 4;
-  const double analytic = BccScheme::coverage_failure_probability(n, batches);
+  const double analytic = theory::bcc_coverage_failure_probability(n, batches);
   stats::Rng rng(10);
   int failures = 0;
   const int trials = 40000;
@@ -185,14 +188,14 @@ TEST(Bcc, CoverageFailureProbabilityMatchesMonteCarlo) {
 }
 
 TEST(Bcc, CoverageFailureProbabilityEdgeCases) {
-  EXPECT_DOUBLE_EQ(BccScheme::coverage_failure_probability(10, 1), 0.0);
+  EXPECT_DOUBLE_EQ(theory::bcc_coverage_failure_probability(10, 1), 0.0);
   // One worker, two batches: always misses one.
-  EXPECT_NEAR(BccScheme::coverage_failure_probability(1, 2), 1.0, 1e-12);
+  EXPECT_NEAR(theory::bcc_coverage_failure_probability(1, 2), 1.0, 1e-12);
   // Failure probability decays with n (the "sufficiently large n" of
   // Theorem 1).
   double prev = 1.0;
   for (std::size_t n : {5u, 10u, 20u, 40u, 80u}) {
-    const double p = BccScheme::coverage_failure_probability(n, 5);
+    const double p = theory::bcc_coverage_failure_probability(n, 5);
     EXPECT_LE(p, prev + 1e-12);
     prev = p;
   }
@@ -208,14 +211,14 @@ TEST(Bcc, ZeroPaddedLastBatchDecodesExactly) {
   const auto prob = data::generate_logreg(10, dconf, rng);
   PerExampleSource source(prob.dataset);
 
-  BccScheme scheme(12, 10, 4, /*seed_first_batches=*/true, rng);
+  const auto scheme = make_bcc(12, 10, 4, /*seed_first_batches=*/true, rng);
   std::vector<double> w(5);
   for (auto& v : w) {
     v = rng.normal();
   }
-  auto collector = scheme.make_collector();
+  auto collector = scheme->make_collector();
   for (std::size_t i = 0; i < 12 && !collector->ready(); ++i) {
-    const auto msg = scheme.encode(i, source, w);
+    const auto msg = scheme->encode(i, source, w);
     collector->offer(i, msg.meta, msg.payload);
   }
   ASSERT_TRUE(collector->ready());
@@ -234,10 +237,11 @@ TEST(Bcc, MessageIsSumOfBatchGradients) {
   dconf.num_features = 4;
   const auto prob = data::generate_logreg(6, dconf, rng);
   PerExampleSource source(prob.dataset);
-  BccScheme scheme(6, 6, 2, /*seed_first_batches=*/true, rng);  // B = 3
+  // B = 3
+  const auto scheme = make_bcc(6, 6, 2, /*seed_first_batches=*/true, rng);
   std::vector<double> w = {0.1, -0.2, 0.3, 0.4};
 
-  const auto msg = scheme.encode(0, source, w);  // worker 0 -> batch 0
+  const auto msg = scheme->encode(0, source, w);  // worker 0 -> batch 0
   std::vector<double> expected(4, 0.0), one(4);
   for (std::size_t j : {0u, 1u}) {
     opt::partial_gradient(prob.dataset, j, w, one);
@@ -255,13 +259,13 @@ TEST(Bcc, PartialDecodeSumsOnlyCoveredBatches) {
   const auto prob = data::generate_logreg(10, dconf, rng);
   PerExampleSource source(prob.dataset);
   // m = 10, r = 4: batches {0..3}, {4..7}, {8,9} (2 units).
-  BccScheme scheme(12, 10, 4, /*seed_first_batches=*/true, rng);
+  const auto scheme = make_bcc(12, 10, 4, /*seed_first_batches=*/true, rng);
   std::vector<double> w(4);
   for (auto& v : w) {
     v = rng.normal();
   }
 
-  auto collector = scheme.make_collector();
+  auto collector = scheme->make_collector();
   ASSERT_TRUE(collector->supports_partial_decode());
 
   // Nothing covered yet: zero partial sum.
@@ -272,7 +276,7 @@ TEST(Bcc, PartialDecodeSumsOnlyCoveredBatches) {
   // Deliver batch 1 (workers seeded: worker 1 holds batch 1) and the
   // short batch 2 (worker 2).
   for (std::size_t i : {1u, 2u}) {
-    const auto msg = scheme.encode(i, source, w);
+    const auto msg = scheme->encode(i, source, w);
     collector->offer(i, msg.meta, msg.payload);
   }
   EXPECT_FALSE(collector->ready());
@@ -293,11 +297,11 @@ TEST_P(BccSweepTest, CollectorTerminatesAndCountsAreConsistent) {
   const std::size_t batches = (m + r - 1) / r;
   const std::size_t n = std::max<std::size_t>(batches * 8, 16);
   stats::Rng rng(13 + m + r);
-  BccScheme scheme(n, m, r, false, rng);
-  auto collector = scheme.make_collector();
+  const auto scheme = make_bcc(n, m, r, false, rng);
+  auto collector = scheme->make_collector();
   std::size_t offered = 0;
   for (std::size_t i = 0; i < n && !collector->ready(); ++i) {
-    collector->offer(i, scheme.message_meta(i), {});
+    collector->offer(i, scheme->message_meta(i), {});
     ++offered;
   }
   if (collector->ready()) {

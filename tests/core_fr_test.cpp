@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 
-#include "core/fractional_repetition.hpp"
+#include "core/partition_scheme.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
 #include "opt/logistic.hpp"
@@ -21,31 +22,34 @@ std::vector<std::int64_t> mv(std::initializer_list<std::int64_t> v) {
 }
 
 TEST(Fr, RequiresDivisibility) {
-  EXPECT_THROW(FractionalRepetitionScheme(10, 3), AssertionError);
-  EXPECT_NO_THROW(FractionalRepetitionScheme(12, 3));
+  EXPECT_THROW(make_fractional_repetition(10, 3), AssertionError);
+  EXPECT_NO_THROW(make_fractional_repetition(12, 3));
 }
 
 TEST(Fr, BlocksAreContiguousAndReplicatedRTimes) {
   // Worker i holds block i mod (n/r), units {b r, ..., b r + r - 1}, one
   // replica per group of n/r workers; the placement stores each block
-  // once, so a block's r workers share one object.
+  // once, so a block's r workers share one object and one encode group
+  // (none at r = 1, where no block has a second replica).
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {12, 3}, {12, 1}, {12, 12}, {40, 8}, {100, 10}};
   for (const auto& [n, r] : shapes) {
-    FractionalRepetitionScheme scheme(n, r);
+    const auto scheme = make_fractional_repetition(n, r);
     const std::size_t blocks = n / r;
-    ASSERT_EQ(scheme.num_blocks(), blocks);
+    ASSERT_EQ(scheme->num_sets(), blocks);
     std::vector<std::size_t> replicas(blocks, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t b = scheme.block_of_worker(i);
+      const std::size_t b = scheme->placement().set_of_worker(i);
       EXPECT_EQ(b, i % blocks);
       ++replicas[b];
-      const auto& g = scheme.placement().worker(i);
+      const auto& g = scheme->placement().worker(i);
       ASSERT_EQ(g.size(), r);
       for (std::size_t t = 0; t < r; ++t) {
         EXPECT_EQ(g[t], b * r + t);
       }
-      EXPECT_EQ(&g, &scheme.placement().worker(b)) << "n=" << n << " r=" << r;
+      EXPECT_EQ(&g, &scheme->placement().worker(b)) << "n=" << n << " r=" << r;
+      const auto group = r > 1 ? std::optional<std::size_t>(b) : std::nullopt;
+      EXPECT_EQ(scheme->encode_group(i), group) << "n=" << n << " r=" << r;
     }
     for (std::size_t b = 0; b < blocks; ++b) {
       EXPECT_EQ(replicas[b], r);
@@ -56,12 +60,12 @@ TEST(Fr, BlocksAreContiguousAndReplicatedRTimes) {
 TEST(Fr, EarlyFinishWithOneWorkerPerBlock) {
   // CR with the same load would need n - s = 10 workers; FR finishes with
   // one worker per block = 4.
-  FractionalRepetitionScheme scheme(12, 3);
-  auto collector = scheme.make_collector();
+  const auto scheme = make_fractional_repetition(12, 3);
+  auto collector = scheme->make_collector();
   for (std::size_t block = 0; block < 4; ++block) {
     EXPECT_FALSE(collector->ready());
     // Worker `block` holds block `block` (group 0).
-    collector->offer(block, scheme.message_meta(block), {});
+    collector->offer(block, scheme->message_meta(block), {});
   }
   EXPECT_TRUE(collector->ready());
   EXPECT_EQ(collector->workers_heard(), 4u);
@@ -69,21 +73,21 @@ TEST(Fr, EarlyFinishWithOneWorkerPerBlock) {
 
 TEST(Fr, ToleratesWorstCaseStragglers) {
   // s = r - 1 = 2 stragglers hitting the same block leave one replica.
-  FractionalRepetitionScheme scheme(12, 3);
+  const auto scheme = make_fractional_repetition(12, 3);
   // Workers holding block 0 are {0, 4, 8}; straggle 0 and 4.
-  auto collector = scheme.make_collector();
+  auto collector = scheme->make_collector();
   for (std::size_t i = 0; i < 12; ++i) {
     if (i == 0 || i == 4) {
       continue;
     }
-    collector->offer(i, scheme.message_meta(i), {});
+    collector->offer(i, scheme->message_meta(i), {});
   }
   EXPECT_TRUE(collector->ready());
 }
 
 TEST(Fr, ReplicaOfSeenBlockIsDiscarded) {
-  FractionalRepetitionScheme scheme(12, 3);
-  auto collector = scheme.make_collector();
+  const auto scheme = make_fractional_repetition(12, 3);
+  auto collector = scheme->make_collector();
   EXPECT_TRUE(collector->offer(0, mv({0}), {}));   // block 0, group 0
   EXPECT_FALSE(collector->offer(4, mv({0}), {}));  // block 0, group 1
   EXPECT_EQ(collector->workers_heard(), 2u);
@@ -95,7 +99,7 @@ TEST(Fr, DecodedGradientMatchesSerial) {
   dconf.num_features = 4;
   const auto prob = data::generate_logreg(8, dconf, rng);
   PerExampleSource source(prob.dataset);
-  FractionalRepetitionScheme scheme(8, 2);  // 4 blocks of 2
+  const auto scheme = make_fractional_repetition(8, 2);  // 4 blocks of 2
 
   std::vector<double> w(4);
   for (auto& v : w) {
@@ -106,12 +110,12 @@ TEST(Fr, DecodedGradientMatchesSerial) {
   linalg::scal(8.0, serial);
 
   // Deliver replicas from mixed groups, including duplicates.
-  auto collector = scheme.make_collector();
+  auto collector = scheme->make_collector();
   for (std::size_t i : {4u, 0u, 1u, 5u, 2u, 7u}) {
     if (collector->ready()) {
       break;
     }
-    const auto msg = scheme.encode(i, source, w);
+    const auto msg = scheme->encode(i, source, w);
     collector->offer(i, msg.meta, msg.payload);
   }
   ASSERT_TRUE(collector->ready());
@@ -125,7 +129,7 @@ TEST(Fr, AverageThresholdBeatsCyclicRepetitionWorstCase) {
   // arrivals are uniformly random — the footnote-2 observation.
   stats::Rng rng(43);
   const std::size_t n = 20, r = 4;  // 5 blocks, CR threshold would be 17
-  FractionalRepetitionScheme scheme(n, r);
+  const auto scheme = make_fractional_repetition(n, r);
   double total_heard = 0.0;
   const int trials = 500;
   std::vector<std::size_t> order(n);
@@ -134,12 +138,12 @@ TEST(Fr, AverageThresholdBeatsCyclicRepetitionWorstCase) {
   }
   for (int t = 0; t < trials; ++t) {
     rng.shuffle(order);
-    auto collector = scheme.make_collector();
+    auto collector = scheme->make_collector();
     for (std::size_t i : order) {
       if (collector->ready()) {
         break;
       }
-      collector->offer(i, scheme.message_meta(i), {});
+      collector->offer(i, scheme->message_meta(i), {});
     }
     ASSERT_TRUE(collector->ready());
     total_heard += static_cast<double>(collector->workers_heard());
@@ -150,12 +154,12 @@ TEST(Fr, AverageThresholdBeatsCyclicRepetitionWorstCase) {
 }
 
 TEST(Fr, LoadOneIsUncodedLike) {
-  FractionalRepetitionScheme scheme(6, 1);
-  EXPECT_EQ(scheme.num_blocks(), 6u);
-  auto collector = scheme.make_collector();
+  const auto scheme = make_fractional_repetition(6, 1);
+  EXPECT_EQ(scheme->num_sets(), 6u);
+  auto collector = scheme->make_collector();
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_FALSE(collector->ready());
-    collector->offer(i, scheme.message_meta(i), {});
+    collector->offer(i, scheme->message_meta(i), {});
   }
   EXPECT_TRUE(collector->ready());
 }

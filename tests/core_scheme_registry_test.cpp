@@ -6,8 +6,8 @@
 
 #include <stdexcept>
 
+#include "core/partition_scheme.hpp"
 #include "core/scheme_registry.hpp"
-#include "core/uncoded.hpp"
 #include "stats/rng.hpp"
 
 namespace coupon::core {
@@ -85,7 +85,7 @@ TEST(SchemeRegistry, DuplicateNamesAndAliasesRejected) {
   auto& registry = SchemeRegistry::instance();
   SchemeEntry entry;
   entry.factory = [](const SchemeConfig& c, stats::Rng&) {
-    return std::make_unique<UncodedScheme>(c.num_workers, c.num_units);
+    return make_uncoded(c.num_workers, c.num_units);
   };
 
   entry.name = "bcc";  // canonical-name collision
@@ -139,8 +139,7 @@ TEST(SchemeRegistry, SingleRegistrationCallAddsARunnableScheme) {
          .description = "uncoded under a new name (test scheme)",
          .caps = {.supports_partial_decode = true},
          .factory = [](const SchemeConfig& c, stats::Rng&) {
-           return std::make_unique<UncodedScheme>(c.num_workers,
-                                                  c.num_units);
+           return make_uncoded(c.num_workers, c.num_units);
          }});
   }
   stats::Rng rng(5);

@@ -224,6 +224,20 @@ TEST(SchemeRegistryCreate, GcNestedRejectsZeroLoad) {
                AssertionError);
 }
 
+TEST(Uncoded, OneSetPerWorkerAndNoEncodeGroups) {
+  // Uncoded is the partition with one set per worker, tagged with the
+  // worker's own index; no set is shared, so no encode group is offered.
+  const auto scheme = make_uncoded(5, 7);
+  EXPECT_EQ(scheme->num_sets(), 5u);
+  EXPECT_EQ(scheme->num_encode_groups(), 0u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(scheme->placement().set_of_worker(i), i);
+    EXPECT_EQ(scheme->message_meta(i),
+              std::vector<std::int64_t>{static_cast<std::int64_t>(i)});
+    EXPECT_FALSE(scheme->encode_group(i).has_value());
+  }
+}
+
 TEST(SchemeNames, DisplayAndRegistryNamesDistinctAcrossBuiltins) {
   std::set<std::string> display_names, registry_names;
   stats::Rng rng(1);

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "core/partition_scheme.hpp"
 #include "core/scheme_registry.hpp"
-#include "core/uncoded.hpp"
 #include "driver/driver.hpp"
 #include "driver/sweep.hpp"
 #include "simulate/cluster_config.hpp"
@@ -256,8 +256,7 @@ TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
            if (c.load == 3) {
              throw std::runtime_error("test scheme refuses load 3");
            }
-           return std::make_unique<coupon::core::UncodedScheme>(
-               c.num_workers, c.num_units);
+           return coupon::core::make_uncoded(c.num_workers, c.num_units);
          }});
   }
   driver::SweepPlan plan;

@@ -241,9 +241,7 @@ TEST(EngineFailurePolicy, SkipUpdateCountsFailuresAndFreezesTheModel) {
 TEST(EngineFailurePolicy, ApplyPartialAppliesRescaledCoveredGradient) {
   const auto s = make_colliding_bcc();
   ASSERT_TRUE(s.found) << "no colliding placement in 64 seeds";
-  const auto* bcc = dynamic_cast<const core::BccScheme*>(s.scheme.get());
-  ASSERT_NE(bcc, nullptr);
-  const std::size_t batch = bcc->batch_of_worker(0);
+  const std::size_t batch = s.scheme->placement().set_of_worker(0);
 
   stats::Rng rng(1);
   SimulatedProvider provider(*s.scheme, *s.source, calm_cluster(), rng);

@@ -190,9 +190,7 @@ TEST(Runtime, PartialFallbackAppliesRescaledCoveredGradient) {
     if (scheme->placement().covers_all_examples()) {
       continue;  // need a colliding placement
     }
-    const auto* bcc = dynamic_cast<const core::BccScheme*>(scheme.get());
-    ASSERT_NE(bcc, nullptr);
-    const std::size_t batch = bcc->batch_of_worker(0);
+    const std::size_t batch = scheme->placement().set_of_worker(0);
 
     ThreadCluster cluster(*scheme, source);
     opt::GradientDescent opt(3, opt::LearningRateSchedule::constant(0.1));

@@ -150,6 +150,22 @@ TEST(CliFlags, RejectsBadValue) {
   flags.add_int("n", 10, "workers");
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_FALSE(flags.parse(2, argv));
+
+  // A number must be the whole value, not a readable prefix of it.
+  for (const char* arg : {"--n=50x", "--n=0x10", "--n=1e3"}) {
+    CliFlags ints;
+    ints.add_int("n", 10, "workers");
+    const char* args[] = {"prog", arg};
+    EXPECT_FALSE(ints.parse(2, args)) << arg;
+    EXPECT_EQ(ints.get_int("n"), 10) << arg;
+  }
+  for (const char* arg : {"--rate=0.1.2", "--rate=2s"}) {
+    CliFlags doubles;
+    doubles.add_double("rate", 0.5, "learning rate");
+    const char* args[] = {"prog", arg};
+    EXPECT_FALSE(doubles.parse(2, args)) << arg;
+    EXPECT_EQ(doubles.get_double("rate"), 0.5) << arg;
+  }
 }
 
 TEST(CliFlags, RejectsMissingValue) {
