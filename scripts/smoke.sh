@@ -101,6 +101,18 @@ run "${BUILD_DIR}/tools/coupon_run" --sweep --schemes bcc,cr \
     --out "${TMP_DIR}/sweep_serial.csv"
 cmp "${TMP_DIR}/sweep.csv" "${TMP_DIR}/sweep_serial.csv"
 
+# Training sweep: 12 cells on 2 problems (one per seed), so cells share a
+# drawn dataset. A serial and a 4-thread run write the same JSONL, loss
+# histories included.
+for threads in 1 4; do
+  run "${BUILD_DIR}/tools/coupon_run" --sweep --train --loss_history \
+      --schemes bcc,gc_cyclic,uncoded --seeds 1,2 --workers_axis 20 \
+      --loads 2,4 --iterations 20 --threads "${threads}" --out /dev/null \
+      --jsonl "${TMP_DIR}/train_sweep_${threads}.jsonl"
+done
+test "$(wc -l < "${TMP_DIR}/train_sweep_1.jsonl")" -eq 12
+cmp "${TMP_DIR}/train_sweep_1.jsonl" "${TMP_DIR}/train_sweep_4.jsonl"
+
 # Pluggable latency models: sweep the new-model scenarios, then replay a
 # per-worker latency trace from CSV via the parameterized trace:<path>
 # scenario.

@@ -8,6 +8,7 @@
 #include "core/scheme_registry.hpp"
 #include "driver/runtime_registry.hpp"
 #include "driver/scenario_registry.hpp"
+#include "driver/workload.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::driver {
@@ -111,21 +112,7 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
 
   config.train = flags.get_bool("train");
   config.objective = flags.get_string("objective");
-  if (config.objective != "logistic" && config.objective != "least_squares") {
-    std::fprintf(stderr,
-                 "unknown --objective '%s' (choices: logistic|least_squares)\n",
-                 config.objective.c_str());
-    return std::nullopt;
-  }
   config.optimizer = flags.get_string("optimizer");
-  if (config.optimizer != "nesterov" && config.optimizer != "gd" &&
-      config.optimizer != "heavy_ball" && config.optimizer != "adagrad") {
-    std::fprintf(
-        stderr,
-        "unknown --optimizer '%s' (choices: nesterov|gd|heavy_ball|adagrad)\n",
-        config.optimizer.c_str());
-    return std::nullopt;
-  }
 
   // Counts are size_t: a negative value would wrap to a huge one, so it
   // is rejected here, naming the flag. --seed takes any 64-bit value.
@@ -205,7 +192,9 @@ void check_scheme_shape(const ExperimentConfig& config) {
 RunRecord run_experiment(const ExperimentConfig& config) {
   const RuntimeEntry& runtime = check_runnable(config);
   check_scheme_shape(config);
-  return runtime.factory()->run(config);
+  const std::unique_ptr<const TrainingWorkload> workload =
+      trains(config, runtime.caps) ? draw_workload(config) : nullptr;
+  return runtime.factory()->run(config, workload.get());
 }
 
 AsciiTable summary_table(const std::vector<RunRecord>& records) {

@@ -37,9 +37,10 @@ ExperimentConfig ec2_scenario_two();
 void add_experiment_flags(CliFlags& flags);
 
 /// Reads the flags registered by `add_experiment_flags` back into a
-/// config. Prints a diagnostic and returns nullopt on an unknown scheme,
-/// failure-policy, objective, or optimizer spelling, or on any config
-/// `check_runnable` (runtime_registry.hpp) rejects.
+/// config. Prints a diagnostic and returns nullopt on an unknown scheme
+/// or failure-policy spelling, a negative count, or any config
+/// `check_runnable` (runtime_registry.hpp) rejects, such as an unknown
+/// objective or optimizer.
 std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 
 /// The scheme-shape rules, in one place: throws std::invalid_argument
@@ -52,10 +53,11 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 /// factories keep their asserts as internal invariants.
 void check_scheme_shape(const ExperimentConfig& config);
 
-/// Runs one (scheme, scenario, runtime) cell through the named runtime.
-/// Throws std::invalid_argument on an unknown name (the message lists
-/// the registered choices) or a config `check_runnable` or
-/// `check_scheme_shape` rejects.
+/// Runs one (scheme, scenario, runtime) cell through the named runtime:
+/// checks the config, draws its training workload if it trains
+/// (workload.hpp), then runs. Throws std::invalid_argument on an unknown
+/// name (the message lists the registered choices) or a config
+/// `check_runnable` or `check_scheme_shape` rejects.
 RunRecord run_experiment(const ExperimentConfig& config);
 
 /// Renders records as the standard Table I/II breakdown (scheme,

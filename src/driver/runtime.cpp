@@ -3,14 +3,11 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "core/gradient_source.hpp"
 #include "core/scheme_registry.hpp"
-#include "data/batching.hpp"
-#include "data/synthetic.hpp"
 #include "driver/scenario_registry.hpp"
+#include "driver/workload.hpp"
 #include "engine/simulated_provider.hpp"
 #include "engine/training_engine.hpp"
-#include "opt/least_squares.hpp"
 #include "opt/logistic.hpp"
 #include "opt/optimizer.hpp"
 #include "runtime/process_cluster.hpp"
@@ -56,53 +53,6 @@ core::SchemeConfig scheme_config(const ExperimentConfig& config,
   return sconf;
 }
 
-/// The synthetic training problem of one cell: dataset, unit gradient
-/// source, and loss. Owns everything the source references, so it must
-/// outlive the run and never be moved after `build_workload`.
-struct TrainingWorkload {
-  data::SyntheticProblem problem;
-  std::optional<data::BatchPartition> partition;  // logistic only
-  std::unique_ptr<core::UnitGradientSource> source;
-  std::function<double(std::span<const double>)> loss;
-  bool has_accuracy = false;  ///< classification objectives only
-};
-
-/// Materializes the cell's objective into `out`, drawing data from `rng`.
-/// "logistic" is the paper's model: m units of `examples_per_unit` points
-/// each ("super examples", footnote 1). "least_squares" is the linear-
-/// regression variant with one example per unit.
-void build_workload(const ExperimentConfig& config, stats::Rng& rng,
-                    TrainingWorkload& out) {
-  data::SyntheticConfig dconf;
-  dconf.num_features = config.features;
-  if (config.objective == "logistic") {
-    const std::size_t num_examples =
-        config.num_units * config.examples_per_unit;
-    out.problem = data::generate_logreg(num_examples, dconf, rng);
-    out.partition.emplace(num_examples, config.examples_per_unit);
-    COUPON_ASSERT(out.partition->num_batches() == config.num_units);
-    out.source = std::make_unique<core::GroupedBatchSource>(
-        out.problem.dataset, *out.partition);
-    const data::Dataset* dataset = &out.problem.dataset;
-    out.loss = [dataset](std::span<const double> w) {
-      return opt::logistic_loss(*dataset, w);
-    };
-    out.has_accuracy = true;
-  } else if (config.objective == "least_squares") {
-    out.problem = data::generate_linreg(config.num_units, dconf,
-                                        /*noise_stddev=*/0.2, rng);
-    out.source =
-        std::make_unique<core::LeastSquaresExampleSource>(out.problem.dataset);
-    const data::Dataset* dataset = &out.problem.dataset;
-    out.loss = [dataset](std::span<const double> w) {
-      return opt::squared_loss(*dataset, w);
-    };
-  } else {
-    throw std::invalid_argument("unknown objective '" + config.objective +
-                                "' (choices: logistic|least_squares)");
-  }
-}
-
 std::unique_ptr<opt::IterativeOptimizer> make_optimizer(
     const ExperimentConfig& config) {
   const auto schedule =
@@ -119,12 +69,8 @@ std::unique_ptr<opt::IterativeOptimizer> make_optimizer(
   if (config.optimizer == "heavy_ball") {
     return std::make_unique<opt::HeavyBallGradient>(config.features, schedule);
   }
-  if (config.optimizer == "adagrad") {
-    return std::make_unique<opt::AdaGrad>(config.features, schedule);
-  }
-  throw std::invalid_argument(
-      "unknown optimizer '" + config.optimizer +
-      "' (choices: nesterov|gd|heavy_ball|adagrad)");
+  COUPON_ASSERT(config.optimizer == "adagrad");  // check_runnable's choices
+  return std::make_unique<opt::AdaGrad>(config.features, schedule);
 }
 
 engine::TrainOptions engine_options(const ExperimentConfig& config,
@@ -168,14 +114,15 @@ void fill_convergence_fields(const engine::TrainReport& report,
 /// undisturbed process run's final loss matches the threaded run's
 /// bit-for-bit (for schemes with arrival-order-independent decodes).
 RunRecord run_live(const ExperimentConfig& config,
+                   const TrainingWorkload* drawn,
                    std::string_view runtime_name, bool spawn_processes) {
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
   RunRecord record = identity_record(config, runtime_name);
 
-  stats::Rng rng(config.seed);
-  TrainingWorkload workload;
-  build_workload(config, rng, workload);
+  COUPON_ASSERT(drawn != nullptr);
+  const TrainingWorkload& workload = *drawn;
+  stats::Rng rng = workload.rng;
   // Seeded first batches (by default) guarantee per-iteration BCC
   // coverage, matching the quickstart's real-training setup.
   auto scheme = core::SchemeRegistry::instance().create(
@@ -215,7 +162,8 @@ RunRecord run_live(const ExperimentConfig& config,
 
 }  // namespace
 
-RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
+RunRecord SimulatedRuntime::run(const ExperimentConfig& config,
+                                const TrainingWorkload* workload) const {
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
   RunRecord record = identity_record(config, name());
@@ -230,22 +178,21 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
     // real gradients. Data first, then the scheme, mirroring the
     // threaded runtime's draw order so a seed names the same problem on
     // both substrates.
-    stats::Rng rng(config.seed);
-    TrainingWorkload workload;
-    build_workload(config, rng, workload);
+    COUPON_ASSERT(workload != nullptr);
+    stats::Rng rng = workload->rng;
     auto scheme = core::SchemeRegistry::instance().create(
         config.scheme,
         scheme_config(config, /*default_seed_first_batches=*/true), rng);
     record.scheme_display = std::string(scheme->name());
 
-    engine::SimulatedProvider provider(*scheme, *workload.source, cluster,
+    engine::SimulatedProvider provider(*scheme, *workload->source, cluster,
                                        rng);
-    engine::TrainingEngine protocol(*scheme, *workload.source, provider);
+    engine::TrainingEngine protocol(*scheme, *workload->source, provider);
     auto optimizer = make_optimizer(config);
     engine::TrainReport report =
-        protocol.train(*optimizer, engine_options(config, workload));
+        protocol.train(*optimizer, engine_options(config, *workload));
 
-    fill_convergence_fields(report, workload, record);
+    fill_convergence_fields(report, *workload, record);
     record.comm_time = report.comm_seconds;
     record.compute_time = report.compute_seconds;
     record.loss_history = std::move(report.loss_history);
@@ -274,12 +221,14 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
   return record;
 }
 
-RunRecord ThreadedRuntime::run(const ExperimentConfig& config) const {
-  return run_live(config, name(), /*spawn_processes=*/false);
+RunRecord ThreadedRuntime::run(const ExperimentConfig& config,
+                               const TrainingWorkload* workload) const {
+  return run_live(config, workload, name(), /*spawn_processes=*/false);
 }
 
-RunRecord ProcessRuntime::run(const ExperimentConfig& config) const {
-  return run_live(config, name(), /*spawn_processes=*/true);
+RunRecord ProcessRuntime::run(const ExperimentConfig& config,
+                              const TrainingWorkload* workload) const {
+  return run_live(config, workload, name(), /*spawn_processes=*/true);
 }
 
 }  // namespace coupon::driver

@@ -3,7 +3,8 @@
 /// \file runtime.hpp
 /// The unified execution-substrate interface (DESIGN.md §2, §4).
 ///
-/// A `Runtime` turns one fully-resolved `ExperimentConfig` into one typed
+/// A `Runtime` turns one fully-resolved `ExperimentConfig`, and the
+/// training workload drawn for it (workload.hpp), into one typed
 /// `RunRecord`. The three implementations are the discrete-event
 /// simulator (`SimulatedRuntime`, no gradients computed), the real-thread
 /// training cluster (`ThreadedRuntime`), and the multi-process socket
@@ -19,6 +20,8 @@
 
 namespace coupon::driver {
 
+struct TrainingWorkload;
+
 /// Polymorphic execution substrate.
 class Runtime {
  public:
@@ -28,10 +31,15 @@ class Runtime {
   virtual std::string_view name() const = 0;
 
   /// Runs one (scheme, scenario) cell. Expects a config that passed
-  /// `check_runnable` (runtime_registry.hpp), which `run_experiment`
-  /// calls first. Throws std::invalid_argument on an unknown scheme or
-  /// scenario name.
-  virtual RunRecord run(const ExperimentConfig& config) const = 0;
+  /// `check_runnable` (runtime_registry.hpp), and, when the cell trains
+  /// (`trains`, workload.hpp), a workload drawn for a config with the
+  /// cell's `workload_key`; null otherwise. `run_experiment` checks and
+  /// draws first; `run_sweep` shares one draw among the cells of a task.
+  /// The run reads the workload and resumes from a copy of its generator,
+  /// so it draws what a standalone run draws. Throws
+  /// std::invalid_argument on an unknown scheme or scenario name.
+  virtual RunRecord run(const ExperimentConfig& config,
+                        const TrainingWorkload* workload) const = 0;
 };
 
 /// Discrete-event cluster model (simulate/cluster_sim.hpp): per-iteration
@@ -39,7 +47,8 @@ class Runtime {
 class SimulatedRuntime final : public Runtime {
  public:
   std::string_view name() const override { return "sim"; }
-  RunRecord run(const ExperimentConfig& config) const override;
+  RunRecord run(const ExperimentConfig& config,
+                const TrainingWorkload* workload) const override;
 };
 
 /// Real master/worker threads training synthetic logistic regression
@@ -48,7 +57,8 @@ class SimulatedRuntime final : public Runtime {
 class ThreadedRuntime final : public Runtime {
  public:
   std::string_view name() const override { return "threaded"; }
-  RunRecord run(const ExperimentConfig& config) const override;
+  RunRecord run(const ExperimentConfig& config,
+                const TrainingWorkload* workload) const override;
 };
 
 /// Worker OS processes over framed stream sockets
@@ -58,7 +68,8 @@ class ThreadedRuntime final : public Runtime {
 class ProcessRuntime final : public Runtime {
  public:
   std::string_view name() const override { return "process"; }
-  RunRecord run(const ExperimentConfig& config) const override;
+  RunRecord run(const ExperimentConfig& config,
+                const TrainingWorkload* workload) const override;
 };
 
 }  // namespace coupon::driver

@@ -1,5 +1,6 @@
 #include "driver/runtime_registry.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -143,6 +144,15 @@ const RuntimeEntry& check_runnable(const ExperimentConfig& config) {
           " out of range (n = " + std::to_string(config.num_workers) + ")");
     }
   }
+  const auto require_one_of = [](const char* kind, const std::string& name,
+                                  const std::vector<std::string>& choices) {
+    if (std::find(choices.begin(), choices.end(), name) == choices.end()) {
+      throw std::invalid_argument(unknown_name_message(kind, name, choices));
+    }
+  };
+  require_one_of("objective", config.objective, {"logistic", "least_squares"});
+  require_one_of("optimizer", config.optimizer,
+                 {"nesterov", "gd", "heavy_ball", "adagrad"});
   if (config.worker_timeout_ms < 0) {
     throw std::invalid_argument(
         "worker_timeout_ms must be >= 0 (0 = wait forever), got " +

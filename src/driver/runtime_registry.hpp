@@ -99,7 +99,9 @@ class RuntimeRegistry {
 
 /// The runtime capability rules, in one place: throws
 /// std::invalid_argument when `config.runtime` cannot run `config`.
-/// Rejects an unknown runtime or scenario name, a sim-only or live-only
+/// Rejects an unknown runtime, scenario, objective
+/// (logistic|least_squares) or optimizer
+/// (nesterov|gd|heavy_ball|adagrad) name, a sim-only or live-only
 /// scenario the runtime cannot honour, a cluster_override it cannot
 /// honour, a crash_worker on a runtime without processes or outside
 /// [0, num_workers), and a negative worker_timeout_ms. Returns the

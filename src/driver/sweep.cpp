@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <exception>
 #include <future>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
+#include "driver/workload.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coupon::driver {
@@ -18,6 +21,39 @@ namespace {
 template <typename T>
 std::vector<T> axis_or(const std::vector<T>& axis, T base_value) {
   return axis.empty() ? std::vector<T>{base_value} : axis;
+}
+
+/// The sweep's tasks, in the order they are run or submitted. Training
+/// cells with one `workload_key` form a group; groups follow their first
+/// cells (problem-major order), and each is cut into runs of at most
+/// `max_run` consecutive cells, so a sweep in which many cells name one
+/// problem still spreads over the pool. Cells that train nothing stay one
+/// per task.
+std::vector<std::vector<std::size_t>> plan_tasks(
+    const std::vector<SweepCell>& cells, const RuntimeCapabilities& caps,
+    std::size_t max_run) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<WorkloadKey, std::size_t> group_of_key;
+  for (const SweepCell& cell : cells) {
+    if (!trains(cell.config, caps)) {
+      groups.push_back({cell.index});
+      continue;
+    }
+    const auto [slot, fresh] =
+        group_of_key.try_emplace(workload_key(cell.config), groups.size());
+    if (fresh) {
+      groups.emplace_back();
+    }
+    groups[slot->second].push_back(cell.index);
+  }
+  std::vector<std::vector<std::size_t>> tasks;
+  for (const auto& group : groups) {
+    for (std::size_t first = 0; first < group.size(); first += max_run) {
+      const std::size_t last = std::min(group.size(), first + max_run);
+      tasks.emplace_back(group.begin() + first, group.begin() + last);
+    }
+  }
+  return tasks;
 }
 
 }  // namespace
@@ -76,61 +112,77 @@ std::vector<RunRecord> run_sweep(const SweepPlan& plan,
   std::vector<std::optional<RunRecord>> slots(cells.size());
   std::vector<std::exception_ptr> errors(cells.size());
 
-  // A runtime that forks workers runs serially on this thread, whatever
-  // options.threads says (SweepOptions::threads gives the reason).
   // expand_plan has checked the runtime name, which is not an axis, so
-  // the lookup cannot fail.
-  const bool forks = RuntimeRegistry::instance()
-                         .find(plan.base.runtime)
-                         ->caps.spawns_processes;
+  // the lookup cannot fail. A runtime that forks workers runs serially on
+  // this thread, whatever options.threads says (SweepOptions::threads
+  // gives the reason).
+  const RuntimeEntry& runtime =
+      *RuntimeRegistry::instance().find(plan.base.runtime);
+  std::size_t threads = options.threads != 0
+                            ? options.threads
+                            : std::max(1u, std::thread::hardware_concurrency());
+  if (runtime.caps.spawns_processes) {
+    threads = 1;
+  }
+  threads = std::min(threads, std::max<std::size_t>(1, cells.size()));
+  const std::vector<std::vector<std::size_t>> tasks =
+      plan_tasks(cells, runtime.caps, (cells.size() + threads - 1) / threads);
 
-  // Serial path: run in cell order, stream as we go. This is also the
-  // reference the parallel path's output must be bit-identical to.
-  if (options.threads == 1 || forks) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      try {
-        slots[i] = run_experiment(cells[i].config);
-        if (options.sink != nullptr) {
-          options.sink->write(*slots[i]);
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
+  // Finished records are published under the mutex; the emission cursor
+  // advances through the slots in cell order, so the sink sees exactly
+  // the cell order whichever task finishes first and in whatever order
+  // the tasks visit the cells.
+  std::mutex mutex;
+  std::size_t cursor = 0;
+  const auto publish = [&](std::size_t i, std::optional<RunRecord> record,
+                           std::exception_ptr error) {
+    std::lock_guard<std::mutex> lock(mutex);
+    slots[i] = std::move(record);
+    errors[i] = error;
+    while (cursor < slots.size() &&
+           (slots[cursor].has_value() || errors[cursor] != nullptr)) {
+      if (options.sink != nullptr && slots[cursor].has_value()) {
+        options.sink->write(*slots[cursor]);
       }
+      ++cursor;
+    }
+  };
+
+  // One task: the first cell that trains draws the task's workload, and
+  // every cell runs on it; each cell is caught and published on its own.
+  // (A draw that throws fails its cell only, and the next cell draws
+  // again, as a standalone run would.)
+  const auto run_task = [&](const std::vector<std::size_t>& task) {
+    std::unique_ptr<const TrainingWorkload> workload;
+    for (const std::size_t i : task) {
+      const ExperimentConfig& config = cells[i].config;
+      std::optional<RunRecord> record;
+      std::exception_ptr error;
+      try {
+        if (workload == nullptr && trains(config, runtime.caps)) {
+          workload = draw_workload(config);
+        }
+        record = runtime.factory()->run(config, workload.get());
+      } catch (...) {
+        error = std::current_exception();
+      }
+      publish(i, std::move(record), error);
+    }
+  };
+
+  // The serial path runs the same tasks in the same order on this
+  // thread; it is the reference the pool's output must be bit-identical
+  // to.
+  if (threads == 1) {
+    for (const auto& task : tasks) {
+      run_task(task);
     }
   } else {
-    std::size_t threads = options.threads != 0
-                              ? options.threads
-                              : std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min(threads, std::max<std::size_t>(1, cells.size()));
-    ThreadPool pool(threads);
-
-    // Finished records are published under the mutex; the emission cursor
-    // advances through the slots in cell order, so the sink sees exactly
-    // the serial order no matter which worker finishes first.
-    std::mutex mutex;
-    std::size_t cursor = 0;
+    ThreadPool pool(std::min(threads, tasks.size()));
     std::vector<std::future<void>> futures;
-    futures.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      futures.push_back(pool.submit([&, i] {
-        std::optional<RunRecord> record;
-        std::exception_ptr error;
-        try {
-          record = run_experiment(cells[i].config);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        slots[i] = std::move(record);
-        errors[i] = error;
-        while (cursor < slots.size() &&
-               (slots[cursor].has_value() || errors[cursor] != nullptr)) {
-          if (options.sink != nullptr && slots[cursor].has_value()) {
-            options.sink->write(*slots[cursor]);
-          }
-          ++cursor;
-        }
-      }));
+    futures.reserve(tasks.size());
+    for (const auto& task : tasks) {
+      futures.push_back(pool.submit([&run_task, &task] { run_task(task); }));
     }
     for (auto& future : futures) {
       future.get();

@@ -11,11 +11,14 @@
 /// `RunRecord`s to a `RecordSink` *in cell order*, regardless of which
 /// worker finishes first. Cells of a runtime that forks workers
 /// (`RuntimeCapabilities::spawns_processes`) run one at a time on the
-/// calling thread instead (see `SweepOptions::threads`).
+/// calling thread instead (see `SweepOptions::threads`). Training cells
+/// that draw the same problem (`workload_key`, workload.hpp) share one
+/// draw per task.
 ///
 /// Determinism contract: each cell is run exactly as `run_experiment`
 /// would run it standalone — its RNG stream is seeded from the cell's own
-/// config, never from execution order — so a *simulated*-runtime sweep's
+/// config, never from execution order, and a shared draw is the draw the
+/// cell would make itself — so a *simulated*-runtime sweep's
 /// output is bit-identical to a serial (threads = 1) run of the same
 /// plan, and any single cell can be reproduced with one `coupon_run`
 /// invocation. Threaded-runtime cells involve real concurrency: their
@@ -83,16 +86,19 @@ struct SweepOptions {
   std::size_t threads = 0;
   /// Optional streaming consumer; receives records in cell order.
   RecordSink* sink = nullptr;
-  /// Ignored: `run_sweep` runs one cell per pool task (DESIGN.md §7.5).
-  /// Kept only so callers that still assign it keep compiling.
+  /// Ignored: `run_sweep` forms its own tasks (DESIGN.md §7.5). Kept
+  /// only so callers that still assign it keep compiling.
   std::size_t sim_batch = 8;
 };
 
-/// Executes every cell and returns the records in cell order. Each cell
-/// is one `run_experiment` call and one task on a coupon::ThreadPool
-/// sized by `options.threads`; if any cell throws, the remaining cells
-/// still finish (and still reach the sink) and the first exception (by
-/// cell order) is rethrown after the pool drains.
+/// Executes every cell and returns the records in cell order. A task on
+/// the coupon::ThreadPool sized by `options.threads` (T threads) is a run
+/// of at most ⌈N/T⌉ training cells of N that draw the same problem, in
+/// problem-major order, or one cell that trains nothing. A task draws
+/// the problem once and runs each cell on it as `run_experiment` would.
+/// The serial path runs the same tasks. If any cell throws, the remaining
+/// cells still finish (and still reach the sink) and the first exception
+/// (by cell order) is rethrown after the pool drains.
 std::vector<RunRecord> run_sweep(const SweepPlan& plan,
                                  const SweepOptions& options = {});
 

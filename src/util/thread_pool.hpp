@@ -4,8 +4,8 @@
 /// Fixed-size worker pool with a blocking task queue.
 ///
 /// The pool is deliberately simple (mutex + condition variable); its one
-/// production user, `driver::run_sweep`, submits one whole experiment
-/// cell per task, so queue contention is negligible.
+/// production user, `driver::run_sweep`, submits one or more whole
+/// experiment cells per task, so queue contention is negligible.
 
 #include <condition_variable>
 #include <cstddef>

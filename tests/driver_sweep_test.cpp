@@ -104,6 +104,32 @@ TEST(SweepPlan, UnknownNamesRejectedBeforeAnyCellRuns) {
   plan = small_plan();
   plan.base.runtime = "mpi";
   EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument);
+
+  // Misspelt training knobs: every cell would otherwise draw its dataset
+  // before the objective or the optimizer is looked up.
+  plan = small_plan();
+  plan.base.train = true;
+  plan.base.objective = "logistc";
+  try {
+    driver::expand_plan(plan);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("logistic|least_squares"),
+              std::string::npos)
+        << e.what();
+  }
+
+  plan = small_plan();
+  plan.base.train = true;
+  plan.base.optimizer = "adam";
+  try {
+    driver::expand_plan(plan);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesterov|gd|heavy_ball|adagrad"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SweepPlan, CapabilityViolationsRejectedBeforeAnyCellRuns) {
@@ -236,13 +262,10 @@ struct CollectingSink final : driver::RecordSink {
   }
 };
 
-}  // namespace
-
-TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
-  // A test scheme that is uncoded except that building it at load 3
-  // throws: the load-2 cells are healthy, the load-3 cells fail at run
-  // time (expand_plan cannot see it coming). Every healthy cell must
-  // still reach the sink, in cell order, and the failure must surface.
+/// Registers a test scheme that is uncoded except that building it at
+/// load 3 throws, so load-3 cells fail at run time (expand_plan cannot
+/// see it coming).
+void register_scheme_throwing_at_load3() {
   auto& registry = coupon::core::SchemeRegistry::instance();
   if (registry.find("test_throws_at_load3") == nullptr) {
     coupon::core::SchemeRegistration registration(
@@ -259,6 +282,15 @@ TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
            return coupon::core::make_uncoded(c.num_workers, c.num_units);
          }});
   }
+}
+
+}  // namespace
+
+TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
+  // The load-2 cells are healthy, the load-3 cells throw. Every healthy
+  // cell must still reach the sink, in cell order, and the failure must
+  // surface.
+  register_scheme_throwing_at_load3();
   driver::SweepPlan plan;
   plan.base.scheme = "test_throws_at_load3";
   plan.base.num_workers = 6;
@@ -286,6 +318,56 @@ TEST(SweepPlan, AThrowingCellDropsOnlyItself) {
         << "threads=" << threads;
     EXPECT_EQ(summary_csv(sink.records), summary_csv(healthy))
         << "threads=" << threads;
+  }
+}
+
+TEST(SweepPlan, AThrowingTrainingCellDropsOnlyItselfFromItsSharedDraw) {
+  // Training cells: the load-3 cells come first and throw after their
+  // seed's dataset is drawn, and each shares that draw with the load-2
+  // cell of the same seed. The healthy cells still run on it, reach the
+  // sink in cell order, and match their standalone runs.
+  register_scheme_throwing_at_load3();
+  driver::SweepPlan plan;
+  plan.base.scheme = "test_throws_at_load3";
+  plan.base.train = true;
+  plan.base.record_loss_history = true;
+  plan.base.num_workers = 6;
+  plan.base.num_units = 6;
+  plan.base.iterations = 4;
+  plan.base.features = 8;
+  plan.base.examples_per_unit = 3;
+  plan.loads = {3, 2};
+  plan.seeds = {1, 2};
+
+  // Cells 0-1 are the failing load-3 ones, 2-3 the healthy load-2 ones.
+  const auto cells = driver::expand_plan(plan);
+  ASSERT_EQ(cells.size(), 4u);
+  std::vector<driver::RunRecord> healthy;
+  for (std::size_t i = 2; i < 4; ++i) {
+    ASSERT_EQ(cells[i].config.load, 2u);
+    healthy.push_back(driver::run_experiment(cells[i].config));
+  }
+
+  for (std::size_t threads : {1u, 2u}) {
+    CollectingSink sink;
+    driver::SweepOptions options;
+    options.threads = threads;
+    options.sink = &sink;
+    try {
+      driver::run_sweep(plan, options);
+      ADD_FAILURE() << "expected std::runtime_error, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "test scheme refuses load 3");
+    }
+    std::ostringstream got, want;
+    driver::JsonlSink got_sink(got), want_sink(want);
+    for (const auto& record : sink.records) {
+      got_sink.write(record);
+    }
+    for (const auto& record : healthy) {
+      want_sink.write(record);
+    }
+    EXPECT_EQ(got.str(), want.str()) << "threads=" << threads;
   }
 }
 

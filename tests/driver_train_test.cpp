@@ -2,13 +2,14 @@
 // runtime's --train mode (TrainingEngine over the simulated provider),
 // the new ExperimentConfig training knobs, the convergence fields on
 // RunRecord and their conditional sink rendering, and training sweeps'
-// serial == parallel bit-identity.
+// serial == parallel bit-identity and cell == standalone-run identity.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "driver/driver.hpp"
 #include "driver/sweep.hpp"
@@ -178,9 +179,78 @@ TEST(DriverTrain, TrainingSweepIsBitIdenticalSerialVsParallel) {
     driver::run_sweep(plan, options);
     return os.str();
   };
+  // The 8 cells draw 2 problems (one per seed). At 3 and 8 threads a
+  // task holds fewer cells than a problem's group.
   const std::string serial = run_to_jsonl(1);
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run_to_jsonl(4));
+  for (std::size_t threads : {2u, 3u, 4u, 8u}) {
+    EXPECT_EQ(serial, run_to_jsonl(threads)) << "threads=" << threads;
+  }
+}
+
+namespace {
+
+/// A record with its wall-clock readings zeroed: the threaded runtime
+/// times real threads, so only the rest of its record is reproducible.
+driver::RunRecord without_wall_clock(driver::RunRecord record) {
+  record.total_time = 0.0;
+  if (record.time_to_target) {
+    record.time_to_target = 0.0;
+  }
+  for (auto& point : record.loss_history) {
+    point.seconds = 0.0;
+  }
+  return record;
+}
+
+}  // namespace
+
+TEST(DriverTrain, EverySweepCellMatchesItsStandaloneRun) {
+  // Cells that draw the same problem share one draw in a sweep; each
+  // must still equal run_experiment of its own config, loss history
+  // included. Threaded runs use schemes whose records do not depend on
+  // which workers answer first (uncoded waits for all, gc_cyclic for a
+  // fixed count whose copies of a unit are bitwise equal).
+  struct Leg {
+    const char* runtime;
+    std::vector<std::string> schemes;
+    std::vector<std::size_t> threads;
+  };
+  const std::vector<Leg> legs = {
+      {"sim", {"bcc", "gc_cyclic", "uncoded"}, {1, 3}},
+      {"threaded", {"uncoded", "gc_cyclic"}, {2}},
+  };
+  for (const Leg& leg : legs) {
+    driver::SweepPlan plan;
+    plan.base = small_train_config();
+    plan.base.runtime = leg.runtime;
+    plan.base.scenario = "no_stragglers";
+    plan.base.num_workers = 6;
+    plan.base.num_units = 6;
+    plan.base.iterations = 6;
+    plan.base.record_loss_history = true;
+    plan.base.target_loss = 0.69;
+    plan.schemes = leg.schemes;
+    plan.loads = {2, 3};
+    plan.seeds = {5, 6};
+    const bool live = std::string(leg.runtime) != "sim";
+    const auto render = [live](const driver::RunRecord& record) {
+      return to_jsonl(live ? without_wall_clock(record) : record);
+    };
+    const auto cells = driver::expand_plan(plan);
+    for (std::size_t threads : leg.threads) {
+      driver::SweepOptions options;
+      options.threads = threads;
+      const auto records = driver::run_sweep(plan, options);
+      ASSERT_EQ(records.size(), cells.size());
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto standalone = driver::run_experiment(cells[i].config);
+        ASSERT_FALSE(records[i].loss_history.empty());
+        EXPECT_EQ(render(records[i]), render(standalone))
+            << leg.runtime << " threads=" << threads << " cell " << i;
+      }
+    }
+  }
 }
 
 TEST(DriverTrain, ThreadedRecordAlsoCarriesTheNewFields) {

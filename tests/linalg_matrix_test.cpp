@@ -1,9 +1,13 @@
-// Tests for Matrix and GEMV.
+// Tests for Matrix (including where its storage starts) and GEMV.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "data/synthetic.hpp"
 #include "linalg/gemv.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
@@ -77,6 +81,41 @@ TEST(Matrix, EmptyMatrix) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.rows(), 0u);
   EXPECT_EQ(m.size(), 0u);
+}
+
+bool on_cache_line(const Matrix& m) {
+  return reinterpret_cast<std::uintptr_t>(m.data().data()) % 64 == 0;
+}
+
+TEST(Matrix, StorageStartsOnACacheLine) {
+  // 1000 x 100 doubles (800 KB) is past glibc's mmap threshold, where a
+  // plain allocation starts 16 bytes past a page.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1000, 100}, {1, 1}, {3, 5}, {7, 4}, {64, 20}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(std::to_string(rows) + " x " + std::to_string(cols));
+    Matrix m(rows, cols, 1.0);
+    EXPECT_TRUE(on_cache_line(m));
+    const Matrix copy(m);
+    EXPECT_TRUE(on_cache_line(copy));
+    Matrix assigned(2, 2);
+    assigned = m;
+    EXPECT_TRUE(on_cache_line(assigned));
+    const Matrix moved(std::move(assigned));
+    EXPECT_TRUE(on_cache_line(moved));
+    EXPECT_TRUE(on_cache_line(m.transposed()));
+    const std::vector<std::size_t> picked = {rows - 1, 0};
+    EXPECT_TRUE(on_cache_line(m.select_rows(picked)));
+    m.resize(rows + 5, cols + 3);
+    EXPECT_TRUE(on_cache_line(m));
+  }
+
+  stats::Rng rng(7);
+  data::SyntheticConfig config;
+  config.num_features = 100;
+  const data::SyntheticProblem problem =
+      data::generate_logreg(1000, config, rng);
+  EXPECT_TRUE(on_cache_line(problem.dataset.x));
 }
 
 TEST(Gemv, MatchesManualComputation) {
