@@ -114,14 +114,12 @@ void fill_convergence_fields(const engine::TrainReport& report,
 /// undisturbed process run's final loss matches the threaded run's
 /// bit-for-bit (for schemes with arrival-order-independent decodes).
 RunRecord run_live(const ExperimentConfig& config,
-                   const TrainingWorkload* drawn,
+                   const TrainingWorkload& workload,
                    std::string_view runtime_name, bool spawn_processes) {
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
   RunRecord record = identity_record(config, runtime_name);
 
-  COUPON_ASSERT(drawn != nullptr);
-  const TrainingWorkload& workload = *drawn;
   stats::Rng rng = workload.rng;
   // Seeded first batches (by default) guarantee per-iteration BCC
   // coverage, matching the quickstart's real-training setup.
@@ -172,13 +170,12 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config,
   const simulate::ClusterConfig& cluster =
       config.cluster_override ? *config.cluster_override : scenario.cluster;
 
-  if (config.train) {
+  if (workload != nullptr) {
     // Convergence mode: the shared TrainingEngine over the simulated
     // provider — kernel arrival order and ingress timing coupled with
     // real gradients. Data first, then the scheme, mirroring the
     // threaded runtime's draw order so a seed names the same problem on
     // both substrates.
-    COUPON_ASSERT(workload != nullptr);
     stats::Rng rng = workload->rng;
     auto scheme = core::SchemeRegistry::instance().create(
         config.scheme,
@@ -223,12 +220,12 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config,
 
 RunRecord ThreadedRuntime::run(const ExperimentConfig& config,
                                const TrainingWorkload* workload) const {
-  return run_live(config, workload, name(), /*spawn_processes=*/false);
+  return run_live(config, *workload, name(), /*spawn_processes=*/false);
 }
 
 RunRecord ProcessRuntime::run(const ExperimentConfig& config,
                               const TrainingWorkload* workload) const {
-  return run_live(config, workload, name(), /*spawn_processes=*/true);
+  return run_live(config, *workload, name(), /*spawn_processes=*/true);
 }
 
 }  // namespace coupon::driver

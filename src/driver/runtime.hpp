@@ -32,8 +32,9 @@ class Runtime {
 
   /// Runs one (scheme, scenario) cell. Expects a config that passed
   /// `check_runnable` (runtime_registry.hpp), and, when the cell trains
-  /// (`trains`, workload.hpp), a workload drawn for a config with the
-  /// cell's `workload_key`; null otherwise. `run_experiment` checks and
+  /// (`trains`, workload.hpp, is the one rule), a workload drawn for a
+  /// config with the cell's `workload_key`; null otherwise. A body trains
+  /// exactly when it is given a workload. `run_experiment` checks and
   /// draws first; `run_sweep` shares one draw among the cells of a task.
   /// The run reads the workload and resumes from a copy of its generator,
   /// so it draws what a standalone run draws. Throws
@@ -43,7 +44,8 @@ class Runtime {
 };
 
 /// Discrete-event cluster model (simulate/cluster_sim.hpp): per-iteration
-/// latency traces, no gradients computed.
+/// latency traces, no gradients computed; given a workload (`train`), real
+/// gradients over simulated time instead.
 class SimulatedRuntime final : public Runtime {
  public:
   std::string_view name() const override { return "sim"; }
@@ -53,7 +55,8 @@ class SimulatedRuntime final : public Runtime {
 
 /// Real master/worker threads training synthetic logistic regression
 /// (runtime/thread_cluster.hpp): wall-clock summary plus final loss and
-/// train accuracy.
+/// train accuracy. Every run trains, so `workload` is never null; the
+/// same holds for `ProcessRuntime`.
 class ThreadedRuntime final : public Runtime {
  public:
   std::string_view name() const override { return "threaded"; }

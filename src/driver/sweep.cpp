@@ -25,10 +25,13 @@ std::vector<T> axis_or(const std::vector<T>& axis, T base_value) {
 
 /// The sweep's tasks, in the order they are run or submitted. Training
 /// cells with one `workload_key` form a group; groups follow their first
-/// cells (problem-major order), and each is cut into runs of at most
-/// `max_run` consecutive cells, so a sweep in which many cells name one
-/// problem still spreads over the pool. Cells that train nothing stay one
-/// per task.
+/// cells (problem-major order), and each is dealt round-robin into the
+/// fewest runs of at most `max_run` cells (R runs: run j takes the
+/// group's cells j, j + R, ...), so a sweep in which many cells name one
+/// problem still spreads over the pool. Neighbouring cells are usually
+/// one scheme's and cost alike; blocks of them left one run with all of
+/// the dearest scheme's cells (DESIGN.md §7.5). Cells that train nothing
+/// stay one per task.
 std::vector<std::vector<std::size_t>> plan_tasks(
     const std::vector<SweepCell>& cells, const RuntimeCapabilities& caps,
     std::size_t max_run) {
@@ -48,9 +51,12 @@ std::vector<std::vector<std::size_t>> plan_tasks(
   }
   std::vector<std::vector<std::size_t>> tasks;
   for (const auto& group : groups) {
-    for (std::size_t first = 0; first < group.size(); first += max_run) {
-      const std::size_t last = std::min(group.size(), first + max_run);
-      tasks.emplace_back(group.begin() + first, group.begin() + last);
+    const std::size_t runs = (group.size() + max_run - 1) / max_run;
+    for (std::size_t first = 0; first < runs; ++first) {
+      std::vector<std::size_t>& task = tasks.emplace_back();
+      for (std::size_t k = first; k < group.size(); k += runs) {
+        task.push_back(group[k]);
+      }
     }
   }
   return tasks;

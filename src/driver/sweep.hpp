@@ -13,7 +13,9 @@
 /// (`RuntimeCapabilities::spawns_processes`) run one at a time on the
 /// calling thread instead (see `SweepOptions::threads`). Training cells
 /// that draw the same problem (`workload_key`, workload.hpp) share one
-/// draw per task.
+/// draw per task, and tasks visit the cells problem-major, so a training
+/// cell's record can wait in memory well past its own finish
+/// (`SweepOptions::sink`).
 ///
 /// Determinism contract: each cell is run exactly as `run_experiment`
 /// would run it standalone — its RNG stream is seeded from the cell's own
@@ -84,7 +86,16 @@ struct SweepOptions {
   /// hung in its first allocation. Each cell's workers run in parallel
   /// anyway.
   std::size_t threads = 0;
-  /// Optional streaming consumer; receives records in cell order.
+  /// Optional streaming consumer; receives records in cell order. A
+  /// record is written once every earlier cell has finished. Cells that
+  /// train nothing finish in about cell order, so their records lag by
+  /// about T cells. Training cells that share a problem run in one task,
+  /// however far apart they lie in cell order, so a record can wait for
+  /// cells far before it: in a sweep of several schemes over a seeds
+  /// axis, every scheme after the first finishes early, but its records
+  /// are written only once the first scheme's last seed has run, near
+  /// the end of the sweep. An interrupted training sweep thus loses
+  /// finished records that a cell-by-cell loop would have written.
   RecordSink* sink = nullptr;
   /// Ignored: `run_sweep` forms its own tasks (DESIGN.md §7.5). Kept
   /// only so callers that still assign it keep compiling.
@@ -92,13 +103,15 @@ struct SweepOptions {
 };
 
 /// Executes every cell and returns the records in cell order. A task on
-/// the coupon::ThreadPool sized by `options.threads` (T threads) is a run
-/// of at most ⌈N/T⌉ training cells of N that draw the same problem, in
-/// problem-major order, or one cell that trains nothing. A task draws
-/// the problem once and runs each cell on it as `run_experiment` would.
-/// The serial path runs the same tasks. If any cell throws, the remaining
-/// cells still finish (and still reach the sink) and the first exception
-/// (by cell order) is rethrown after the pool drains.
+/// the coupon::ThreadPool sized by `options.threads` (T threads) is one
+/// cell that trains nothing, or a run of at most ⌈N/T⌉ of the N cells:
+/// training cells that draw the same problem, dealt round-robin when a
+/// problem has more cells than that. Tasks go in problem-major order. A
+/// task draws the problem once and runs each cell on it as
+/// `run_experiment` would. The serial path runs the same tasks. If any
+/// cell throws, the remaining cells still finish (and still reach the
+/// sink) and the first exception (by cell order) is rethrown after the
+/// pool drains.
 std::vector<RunRecord> run_sweep(const SweepPlan& plan,
                                  const SweepOptions& options = {});
 
